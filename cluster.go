@@ -7,7 +7,6 @@ import (
 	"github.com/flashroute/flashroute/internal/cluster"
 	"github.com/flashroute/flashroute/internal/core"
 	"github.com/flashroute/flashroute/internal/core6"
-	"github.com/flashroute/flashroute/internal/trace"
 )
 
 // ClusterOptions parameterizes a distributed multi-vantage scan (see
@@ -108,152 +107,133 @@ const (
 // scan.
 type ClusterWorkerStats = cluster.WorkerStats
 
-// ClusterMultiPath is a multi-path observation surfaced by the IPv4
-// merge: two probing contexts saw different interfaces at the same
-// (destination, TTL).
-type ClusterMultiPath = cluster.MultiPath[uint32]
+// ClusterMultiPath is a multi-path observation surfaced by the merge:
+// two probing contexts saw different interfaces at the same
+// (destination, TTL). ClusterMultiPath6 is the IPv6 form.
+type (
+	ClusterMultiPath  = cluster.MultiPath[uint32]
+	ClusterMultiPath6 = cluster.MultiPath[Addr6]
+)
 
-// ClusterMultiPath6 is ClusterMultiPath for IPv6 scans.
-type ClusterMultiPath6 = cluster.MultiPath[Addr6]
-
-// ClusterResult is the merged outcome of an IPv4 cluster scan: the
-// conflict-aware union of every worker's traces plus per-worker and
-// stop-set-exchange statistics.
-type ClusterResult struct {
-	inner *cluster.Result[uint32]
+// ClusterResultOf is the merged outcome of a cluster scan (ClusterResult
+// for IPv4, ClusterResult6 for IPv6): the conflict-aware union of every
+// worker's traces plus per-worker and stop-set-exchange statistics.
+type ClusterResultOf[A comparable] struct {
+	routeSet[A]
+	inner *cluster.Result[A]
 }
 
+// ClusterResult is an IPv4 cluster result; ClusterResult6 an IPv6 one.
+type (
+	ClusterResult  = ClusterResultOf[uint32]
+	ClusterResult6 = ClusterResultOf[Addr6]
+)
+
 // Probes returns the total probe count across all workers.
-func (r *ClusterResult) Probes() uint64 { return r.inner.ProbesSent }
+func (r *ClusterResultOf[A]) Probes() uint64 { return r.inner.ProbesSent }
 
 // PreprobeProbes returns the probes spent preprobing, summed across
 // workers.
-func (r *ClusterResult) PreprobeProbes() uint64 { return r.inner.PreprobeProbes }
+func (r *ClusterResultOf[A]) PreprobeProbes() uint64 { return r.inner.PreprobeProbes }
 
 // ScanTime returns the wall (clock) duration of the whole cluster scan.
-func (r *ClusterResult) ScanTime() time.Duration { return r.inner.ScanTime }
-
-// InterfaceCount returns the unique interfaces across the merged union.
-func (r *ClusterResult) InterfaceCount() int { return r.inner.Store.Interfaces().Len() }
-
-// HasInterface reports whether addr appears in the merged union.
-func (r *ClusterResult) HasInterface(addr uint32) bool {
-	return r.inner.Store.Interfaces().Has(addr)
-}
-
-// ForEachInterface visits every discovered interface address.
-func (r *ClusterResult) ForEachInterface(fn func(addr uint32)) {
-	r.inner.Store.Interfaces().ForEach(fn)
-}
-
-// Route returns the merged route to dst (nil if nothing was observed).
-func (r *ClusterResult) Route(dst uint32) *Route {
-	rt := r.inner.Store.Route(dst)
-	if rt == nil {
-		return nil
-	}
-	out := &Route{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-	for _, h := range rt.Hops {
-		out.Hops = append(out.Hops, Hop{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-	}
-	return out
-}
-
-// NumRoutes returns the number of destinations with at least one
-// response in the union.
-func (r *ClusterResult) NumRoutes() int { return r.inner.Store.NumRoutes() }
-
-// ForEachRoute visits every merged route.
-func (r *ClusterResult) ForEachRoute(fn func(*Route)) {
-	r.inner.Store.ForEachRoute(func(rt *trace.Route) {
-		out := &Route{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-		for _, h := range rt.Hops {
-			out.Hops = append(out.Hops, Hop{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-		}
-		fn(out)
-	})
-}
+func (r *ClusterResultOf[A]) ScanTime() time.Duration { return r.inner.ScanTime }
 
 // MultiPaths returns the merge's multi-path observations, sorted by
 // (destination, TTL).
-func (r *ClusterResult) MultiPaths() []ClusterMultiPath { return r.inner.MultiPaths }
+func (r *ClusterResultOf[A]) MultiPaths() []cluster.MultiPath[A] { return r.inner.MultiPaths }
 
 // Workers returns per-worker-loop statistics (a migrated shard has one
 // entry per attempt).
-func (r *ClusterResult) Workers() []ClusterWorkerStats { return r.inner.Workers }
+func (r *ClusterResultOf[A]) Workers() []ClusterWorkerStats { return r.inner.Workers }
 
 // Migrations returns how many shard handoffs happened mid-scan.
-func (r *ClusterResult) Migrations() int { return r.inner.Migrations }
+func (r *ClusterResultOf[A]) Migrations() int { return r.inner.Migrations }
 
 // Failures lists every worker failure the coordinator detected,
 // in detection order (empty on an undisturbed scan).
-func (r *ClusterResult) Failures() []ClusterWorkerFailure { return r.inner.Failures }
+func (r *ClusterResultOf[A]) Failures() []ClusterWorkerFailure { return r.inner.Failures }
 
 // Abandoned lists shards (sorted) whose migration budget ran out; their
 // remaining destinations went unprobed and the merge is a valid partial
 // result.
-func (r *ClusterResult) Abandoned() []int { return r.inner.Abandoned }
+func (r *ClusterResultOf[A]) Abandoned() []int { return r.inner.Abandoned }
 
 // StopSetDegraded counts degradation episodes: how many times a worker
 // lost the shared stop-set hub and fell back to local-only Doubletree
 // mode (zero on an undisturbed scan).
-func (r *ClusterResult) StopSetDegraded() uint64 { return r.inner.StopSetDegraded }
+func (r *ClusterResultOf[A]) StopSetDegraded() uint64 { return r.inner.StopSetDegraded }
 
 // StopPublished and StopReceived report the global stop-set exchange:
 // entries published to the merge log, and remote entries adopted by
 // workers (both zero when ClusterOptions.Independent).
-func (r *ClusterResult) StopPublished() uint64 { return r.inner.StopPublished }
-func (r *ClusterResult) StopReceived() uint64  { return r.inner.StopReceived }
+func (r *ClusterResultOf[A]) StopPublished() uint64 { return r.inner.StopPublished }
+func (r *ClusterResultOf[A]) StopReceived() uint64  { return r.inner.StopReceived }
 
 // Interrupted reports the scan was cancelled; the result is the valid
 // partial merge.
-func (r *ClusterResult) Interrupted() bool { return r.inner.Interrupted }
+func (r *ClusterResultOf[A]) Interrupted() bool { return r.inner.Interrupted }
 
-// WriteCSV writes the merged routes as CSV.
-func (r *ClusterResult) WriteCSV(w interface{ Write([]byte) (int, error) }) error {
-	return r.inner.Store.WriteCSV(w)
+// ClusterHandleOf is a running cluster scan (StartClusterScan on a
+// Simulation or Simulation6): poll Probes, retarget the rate with
+// SetRate, Cancel for a graceful partial merge, KillWorker to exercise
+// shard migration, Wait for completion.
+type ClusterHandleOf[A comparable] struct {
+	run *cluster.Run[A]
 }
 
-// WriteJSONL writes the merged routes as one JSON object per line.
-func (r *ClusterResult) WriteJSONL(w interface{ Write([]byte) (int, error) }) error {
-	return r.inner.Store.WriteJSONL(w)
-}
-
-// ClusterHandle is a running IPv4 cluster scan (StartClusterScan): poll
-// Probes, retarget the rate with SetRate, Cancel for a graceful partial
-// merge, KillWorker to exercise shard migration, Wait for completion.
-type ClusterHandle struct {
-	run *cluster.Run[uint32]
-}
+// ClusterHandle is a running IPv4 cluster scan; ClusterHandle6 an IPv6
+// one.
+type (
+	ClusterHandle  = ClusterHandleOf[uint32]
+	ClusterHandle6 = ClusterHandleOf[Addr6]
+)
 
 // Probes returns the live probe count summed across worker loops.
-func (h *ClusterHandle) Probes() uint64 { return h.run.Probes() }
+func (h *ClusterHandleOf[A]) Probes() uint64 { return h.run.Probes() }
 
 // SetRate retargets the aggregate probing rate (split across workers).
-func (h *ClusterHandle) SetRate(pps int) { h.run.SetRate(pps) }
+func (h *ClusterHandleOf[A]) SetRate(pps int) { h.run.SetRate(pps) }
 
 // Cancel requests graceful cancellation of every worker.
-func (h *ClusterHandle) Cancel() { h.run.Cancel() }
+func (h *ClusterHandleOf[A]) Cancel() { h.run.Cancel() }
 
 // KillWorker cancels the loop probing the given shard and migrates the
 // shard's remaining work to a peer vantage via its final checkpoint.
 // Reports whether a live loop was killed.
-func (h *ClusterHandle) KillWorker(shard int) bool { return h.run.KillWorker(shard) }
+func (h *ClusterHandleOf[A]) KillWorker(shard int) bool { return h.run.KillWorker(shard) }
 
 // Migrations returns the live count of completed shard handoffs.
-func (h *ClusterHandle) Migrations() int { return h.run.Migrations() }
+func (h *ClusterHandleOf[A]) Migrations() int { return h.run.Migrations() }
 
 // StopSetDegraded returns the live count of stop-set degradation
 // episodes across workers.
-func (h *ClusterHandle) StopSetDegraded() uint64 { return h.run.StopSetDegraded() }
+func (h *ClusterHandleOf[A]) StopSetDegraded() uint64 { return h.run.StopSetDegraded() }
 
 // Wait blocks until the cluster scan completes.
-func (h *ClusterHandle) Wait() (*ClusterResult, error) {
+func (h *ClusterHandleOf[A]) Wait() (*ClusterResultOf[A], error) {
 	res, err := h.run.Wait()
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterResult{inner: res}, nil
+	return &ClusterResultOf[A]{routeSet: routeSet[A]{res.Store}, inner: res}, nil
+}
+
+// startCluster starts the coordinator over env.
+func startCluster[A comparable](ctx context.Context, env cluster.Env[A], opt ClusterOptions) (*ClusterHandleOf[A], error) {
+	run, err := cluster.Start(ctx, env, opt.lower())
+	if err != nil {
+		return nil, err
+	}
+	return &ClusterHandleOf[A]{run: run}, nil
+}
+
+// waitCluster is Wait on a handle that may have failed to start.
+func waitCluster[A comparable](h *ClusterHandleOf[A], err error) (*ClusterResultOf[A], error) {
+	if err != nil {
+		return nil, err
+	}
+	return h.Wait()
 }
 
 // StartClusterScan begins a distributed multi-vantage scan against this
@@ -264,25 +244,15 @@ func (h *ClusterHandle) Wait() (*ClusterResult, error) {
 // StartScan over the same Config.
 func (s *Simulation) StartClusterScan(ctx context.Context, cfg Config, opt ClusterOptions) (*ClusterHandle, error) {
 	s.fill(&cfg)
-	receivers := cfg.Receivers
-	env := cluster.Env[uint32]{
+	return startCluster(ctx, cluster.Env[uint32]{
 		Fam:   core.IPv4Family(),
 		Base:  cfg.toCore(),
 		Clock: s.clock,
 		NewConn: func(v int) (core.PacketConn, func() core.PacketReader, error) {
 			c := s.net.NewVantageConn(v)
-			var nr func() core.PacketReader
-			if receivers > 1 {
-				nr = func() core.PacketReader { return c.NewReader() }
-			}
-			return c, nr, nil
+			return c, readers(cfg.Receivers, c.NewReader), nil
 		},
-	}
-	run, err := cluster.Start(ctx, env, opt.lower())
-	if err != nil {
-		return nil, err
-	}
-	return &ClusterHandle{run: run}, nil
+	}, opt)
 }
 
 // ScanCluster is StartClusterScan + Wait: the blocking form.
@@ -292,155 +262,21 @@ func (s *Simulation) ScanCluster(cfg Config, opt ClusterOptions) (*ClusterResult
 
 // ScanClusterContext is ScanCluster with graceful cancellation.
 func (s *Simulation) ScanClusterContext(ctx context.Context, cfg Config, opt ClusterOptions) (*ClusterResult, error) {
-	h, err := s.StartClusterScan(ctx, cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	return h.Wait()
-}
-
-// ClusterResult6 is the merged outcome of an IPv6 cluster scan.
-type ClusterResult6 struct {
-	inner *cluster.Result[Addr6]
-}
-
-// Probes returns the total probe count across all workers.
-func (r *ClusterResult6) Probes() uint64 { return r.inner.ProbesSent }
-
-// ScanTime returns the clock duration of the whole cluster scan.
-func (r *ClusterResult6) ScanTime() time.Duration { return r.inner.ScanTime }
-
-// InterfaceCount returns the unique interfaces across the merged union.
-func (r *ClusterResult6) InterfaceCount() int { return r.inner.Store.Interfaces().Len() }
-
-// HasInterface reports whether a appears in the merged union.
-func (r *ClusterResult6) HasInterface(a Addr6) bool { return r.inner.Store.Interfaces().Has(a) }
-
-// ReachedCount returns how many targets answered.
-func (r *ClusterResult6) ReachedCount() int {
-	n := 0
-	r.inner.Store.ForEachRoute(func(rt *trace.RouteOf[Addr6]) {
-		if rt.Reached {
-			n++
-		}
-	})
-	return n
-}
-
-// Route returns the merged route to a target (nil if nothing observed).
-func (r *ClusterResult6) Route(a Addr6) *Route6 {
-	rt := r.inner.Store.Route(a)
-	if rt == nil {
-		return nil
-	}
-	out := &Route6{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-	for _, h := range rt.Hops {
-		out.Hops = append(out.Hops, Hop6{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-	}
-	return out
-}
-
-// ForEachRoute visits every merged route.
-func (r *ClusterResult6) ForEachRoute(fn func(*Route6)) {
-	r.inner.Store.ForEachRoute(func(rt *trace.RouteOf[Addr6]) {
-		out := &Route6{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-		for _, h := range rt.Hops {
-			out.Hops = append(out.Hops, Hop6{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-		}
-		fn(out)
-	})
-}
-
-// MultiPaths returns the merge's multi-path observations.
-func (r *ClusterResult6) MultiPaths() []ClusterMultiPath6 { return r.inner.MultiPaths }
-
-// Workers returns per-worker-loop statistics.
-func (r *ClusterResult6) Workers() []ClusterWorkerStats { return r.inner.Workers }
-
-// Migrations returns how many shard handoffs happened mid-scan.
-func (r *ClusterResult6) Migrations() int { return r.inner.Migrations }
-
-// Failures lists every worker failure the coordinator detected.
-func (r *ClusterResult6) Failures() []ClusterWorkerFailure { return r.inner.Failures }
-
-// Abandoned lists shards (sorted) whose migration budget ran out.
-func (r *ClusterResult6) Abandoned() []int { return r.inner.Abandoned }
-
-// StopSetDegraded counts stop-set degradation episodes across workers.
-func (r *ClusterResult6) StopSetDegraded() uint64 { return r.inner.StopSetDegraded }
-
-// StopPublished and StopReceived report the global stop-set exchange.
-func (r *ClusterResult6) StopPublished() uint64 { return r.inner.StopPublished }
-func (r *ClusterResult6) StopReceived() uint64  { return r.inner.StopReceived }
-
-// Interrupted reports the scan was cancelled before completion.
-func (r *ClusterResult6) Interrupted() bool { return r.inner.Interrupted }
-
-// WriteJSONL writes the merged routes as one JSON object per line.
-func (r *ClusterResult6) WriteJSONL(w interface{ Write([]byte) (int, error) }) error {
-	return r.inner.Store.WriteJSONL(w)
-}
-
-// ClusterHandle6 is a running IPv6 cluster scan (StartClusterScan).
-type ClusterHandle6 struct {
-	run *cluster.Run[Addr6]
-}
-
-// Probes returns the live probe count summed across worker loops.
-func (h *ClusterHandle6) Probes() uint64 { return h.run.Probes() }
-
-// SetRate retargets the aggregate probing rate (split across workers).
-func (h *ClusterHandle6) SetRate(pps int) { h.run.SetRate(pps) }
-
-// Cancel requests graceful cancellation of every worker.
-func (h *ClusterHandle6) Cancel() { h.run.Cancel() }
-
-// KillWorker cancels the loop probing the given shard and migrates its
-// remaining work to a peer vantage. Reports whether a loop was killed.
-func (h *ClusterHandle6) KillWorker(shard int) bool { return h.run.KillWorker(shard) }
-
-// Migrations returns the live count of completed shard handoffs.
-func (h *ClusterHandle6) Migrations() int { return h.run.Migrations() }
-
-// StopSetDegraded returns the live count of stop-set degradation
-// episodes across workers.
-func (h *ClusterHandle6) StopSetDegraded() uint64 { return h.run.StopSetDegraded() }
-
-// Wait blocks until the cluster scan completes.
-func (h *ClusterHandle6) Wait() (*ClusterResult6, error) {
-	res, err := h.run.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return &ClusterResult6{inner: res}, nil
+	return waitCluster(s.StartClusterScan(ctx, cfg, opt))
 }
 
 // StartClusterScan begins a distributed multi-vantage IPv6 scan; same
 // contract as Simulation.StartClusterScan.
 func (s *Simulation6) StartClusterScan(ctx context.Context, cfg Config6, opt ClusterOptions) (*ClusterHandle6, error) {
-	ecfg, err := core6.EngineConfig(s.toConfig6(cfg))
-	if err != nil {
-		return nil, err
-	}
-	receivers := cfg.Receivers
-	env := cluster.Env[Addr6]{
+	return startCluster(ctx, cluster.Env[Addr6]{
 		Fam:   core6.Family(),
-		Base:  ecfg,
+		Base:  s.toConfig6(cfg),
 		Clock: s.clock,
 		NewConn: func(v int) (core.PacketConn, func() core.PacketReader, error) {
 			c := s.net.NewVantageConn(v)
-			var nr func() core.PacketReader
-			if receivers > 1 {
-				nr = func() core.PacketReader { return c.NewReader() }
-			}
-			return c, nr, nil
+			return c, readers(cfg.Receivers, c.NewReader), nil
 		},
-	}
-	run, err := cluster.Start(ctx, env, opt.lower())
-	if err != nil {
-		return nil, err
-	}
-	return &ClusterHandle6{run: run}, nil
+	}, opt)
 }
 
 // ScanCluster is StartClusterScan + Wait for IPv6.
@@ -450,9 +286,5 @@ func (s *Simulation6) ScanCluster(cfg Config6, opt ClusterOptions) (*ClusterResu
 
 // ScanClusterContext is ScanCluster with graceful cancellation.
 func (s *Simulation6) ScanClusterContext(ctx context.Context, cfg Config6, opt ClusterOptions) (*ClusterResult6, error) {
-	h, err := s.StartClusterScan(ctx, cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	return h.Wait()
+	return waitCluster(s.StartClusterScan(ctx, cfg, opt))
 }

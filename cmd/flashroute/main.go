@@ -318,24 +318,13 @@ func main() {
 		return
 	}
 
-	var res *flashroute.Result
-	var err error
-	if *resumeFrom != "" {
-		snap, rerr := os.ReadFile(*resumeFrom)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		fmt.Printf("resuming from checkpoint %s\n", *resumeFrom)
-		res, err = sim.ResumeScanContext(ctx, cfg, snap)
-		if errors.Is(err, flashroute.ErrCheckpointComplete) {
-			fmt.Printf("checkpoint %s is from a completed scan; nothing to resume\n", *resumeFrom)
-			return
-		}
-	} else {
-		res, err = sim.ScanContext(ctx, cfg)
-	}
-	if err != nil {
-		fatal(err)
+	res := scanOrResume(ctx, *resumeFrom,
+		func(ctx context.Context) (*flashroute.Result, error) { return sim.ScanContext(ctx, cfg) },
+		func(ctx context.Context, snap []byte) (*flashroute.Result, error) {
+			return sim.ResumeScanContext(ctx, cfg, snap)
+		})
+	if res == nil {
+		return
 	}
 	reportInterrupt(res.Interrupted(), *checkpoint)
 
@@ -346,26 +335,7 @@ func main() {
 	fmt.Printf("distances measured:   %d, predicted: %d\n", res.DistancesMeasured(), res.DistancesPredicted())
 	fmt.Printf("mismatched responses: %d (in-flight destination modification)\n", res.MismatchedResponses())
 
-	st := sim.Stats()
-	resil := metrics.Resilience{
-		ProbesLost:          st.ProbesLost,
-		RepliesLost:         st.RepliesLost,
-		Duplicates:          st.Duplicates,
-		Reordered:           st.Reordered,
-		Retransmitted:       res.RetransmittedProbes(),
-		DuplicatesDiscarded: res.DuplicateResponses(),
-		ReadErrors:          res.ReadErrors(),
-		SendErrors:          res.SendErrors(),
-		SendRetries:         res.SendRetries(),
-	}
-	if resil.Any() {
-		if err := resil.WriteText(os.Stdout); err != nil {
-			fatal(err)
-		}
-	}
-	if n := res.CheckpointErrors(); n > 0 {
-		fmt.Fprintf(os.Stderr, "flashroute: %d checkpoint(s) failed to persist\n", n)
-	}
+	reportResilience(res, sim.Stats())
 
 	if *output != "" {
 		f, err := os.Create(*output)
@@ -385,7 +355,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		n, err := res.WriteBinary(f)
+		n, err := flashroute.WriteBinary(f, res)
 		if err != nil {
 			fatal(err)
 		}
@@ -508,24 +478,13 @@ func scan6(ctx context.Context, o scan6Opts) {
 		cfg.CheckpointSink = checkpointSink(o.checkpoint)
 		cfg.CheckpointEvery = o.ckptEvery
 	}
-	var res *flashroute.Result6
-	var err error
-	if o.resumeFrom != "" {
-		snap, rerr := os.ReadFile(o.resumeFrom)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		fmt.Printf("resuming from checkpoint %s\n", o.resumeFrom)
-		res, err = sim.ResumeScanContext(ctx, cfg, snap)
-		if errors.Is(err, flashroute.ErrCheckpointComplete) {
-			fmt.Printf("checkpoint %s is from a completed scan; nothing to resume\n", o.resumeFrom)
-			return
-		}
-	} else {
-		res, err = sim.ScanContext(ctx, cfg)
-	}
-	if err != nil {
-		fatal(err)
+	res := scanOrResume(ctx, o.resumeFrom,
+		func(ctx context.Context) (*flashroute.Result6, error) { return sim.ScanContext(ctx, cfg) },
+		func(ctx context.Context, snap []byte) (*flashroute.Result6, error) {
+			return sim.ResumeScanContext(ctx, cfg, snap)
+		})
+	if res == nil {
+		return
 	}
 	reportInterrupt(res.Interrupted(), o.checkpoint)
 	fmt.Printf("scan time:            %v\n", res.ScanTime())
@@ -536,7 +495,53 @@ func scan6(ctx context.Context, o scan6Opts) {
 	fmt.Printf("distances measured:   %d, same-prefix predicted: %d\n",
 		res.DistancesMeasured(), res.DistancesPredicted())
 
-	st := sim.Stats()
+	reportResilience(res, sim.Stats())
+}
+
+// checkpointSink returns a CheckpointSink that persists snapshots
+// atomically: each one is written to a temp file and renamed over the
+// target, so a crash mid-write never leaves a truncated checkpoint.
+func checkpointSink(path string) func([]byte) error {
+	return func(snapshot []byte) error {
+		tmp := path + ".tmp"
+		if err := os.WriteFile(tmp, snapshot, 0o644); err != nil {
+			return err
+		}
+		return os.Rename(tmp, path)
+	}
+}
+
+// scanOrResume runs scan, or resume over the checkpoint at path when path
+// is set. It returns nil when that checkpoint records a finished scan.
+func scanOrResume[A comparable](ctx context.Context, path string,
+	scan func(context.Context) (*flashroute.ResultOf[A], error),
+	resume func(context.Context, []byte) (*flashroute.ResultOf[A], error)) *flashroute.ResultOf[A] {
+	var res *flashroute.ResultOf[A]
+	var err error
+	if path != "" {
+		snap, rerr := os.ReadFile(path)
+		if rerr != nil {
+			fatal(rerr)
+		}
+		fmt.Printf("resuming from checkpoint %s\n", path)
+		res, err = resume(ctx, snap)
+		if errors.Is(err, flashroute.ErrCheckpointComplete) {
+			fmt.Printf("checkpoint %s is from a completed scan; nothing to resume\n", path)
+			return nil
+		}
+	} else {
+		res, err = scan(ctx)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	return res
+}
+
+// reportResilience prints the impairment, retry and error counters when
+// any is non-zero, and warns about checkpoints that failed to persist. st
+// is the simulated network's side (zero for a real network).
+func reportResilience[A comparable](res *flashroute.ResultOf[A], st flashroute.SimStats) {
 	resil := metrics.Resilience{
 		ProbesLost:          st.ProbesLost,
 		RepliesLost:         st.RepliesLost,
@@ -555,19 +560,6 @@ func scan6(ctx context.Context, o scan6Opts) {
 	}
 	if n := res.CheckpointErrors(); n > 0 {
 		fmt.Fprintf(os.Stderr, "flashroute: %d checkpoint(s) failed to persist\n", n)
-	}
-}
-
-// checkpointSink returns a CheckpointSink that persists snapshots
-// atomically: each one is written to a temp file and renamed over the
-// target, so a crash mid-write never leaves a truncated checkpoint.
-func checkpointSink(path string) func([]byte) error {
-	return func(snapshot []byte) error {
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, snapshot, 0o644); err != nil {
-			return err
-		}
-		return os.Rename(tmp, path)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/flashroute/flashroute"
-	"github.com/flashroute/flashroute/internal/metrics"
 )
 
 type rawOpts struct {
@@ -121,27 +120,23 @@ func scanRaw(ctx context.Context, o rawOpts) {
 	fmt.Printf("raw-socket scan: %d /24 blocks, source %s, batch %d\n",
 		u.NumBlocks(), o.source, o.batch)
 
-	var sc *flashroute.Scanner
-	if o.resumeFrom != "" {
-		snap, rerr := os.ReadFile(o.resumeFrom)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		fmt.Printf("resuming from checkpoint %s\n", o.resumeFrom)
-		sc, err = flashroute.ResumeScanner(cfg, conn, flashroute.RealClock(), snap)
-		if errors.Is(err, flashroute.ErrCheckpointComplete) {
-			fmt.Printf("checkpoint %s is from a completed scan; nothing to resume\n", o.resumeFrom)
-			return
-		}
-	} else {
-		sc, err = flashroute.NewScanner(cfg, conn, flashroute.RealClock())
-	}
-	if err != nil {
-		fatal(err)
-	}
-	res, err := sc.RunContext(ctx)
-	if err != nil {
-		fatal(err)
+	res := scanOrResume(ctx, o.resumeFrom,
+		func(ctx context.Context) (*flashroute.Result, error) {
+			sc, err := flashroute.NewScanner(cfg, conn, flashroute.RealClock())
+			if err != nil {
+				return nil, err
+			}
+			return sc.RunContext(ctx)
+		},
+		func(ctx context.Context, snap []byte) (*flashroute.Result, error) {
+			sc, err := flashroute.ResumeScanner(cfg, conn, flashroute.RealClock(), snap)
+			if err != nil {
+				return nil, err
+			}
+			return sc.RunContext(ctx)
+		})
+	if res == nil {
+		return
 	}
 	reportInterrupt(res.Interrupted(), o.checkpoint)
 
@@ -152,21 +147,7 @@ func scanRaw(ctx context.Context, o rawOpts) {
 	fmt.Printf("distances measured:   %d, predicted: %d\n", res.DistancesMeasured(), res.DistancesPredicted())
 	fmt.Printf("mismatched responses: %d (in-flight destination modification)\n", res.MismatchedResponses())
 
-	resil := metrics.Resilience{
-		Retransmitted:       res.RetransmittedProbes(),
-		DuplicatesDiscarded: res.DuplicateResponses(),
-		ReadErrors:          res.ReadErrors(),
-		SendErrors:          res.SendErrors(),
-		SendRetries:         res.SendRetries(),
-	}
-	if resil.Any() {
-		if err := resil.WriteText(os.Stdout); err != nil {
-			fatal(err)
-		}
-	}
-	if n := res.CheckpointErrors(); n > 0 {
-		fmt.Fprintf(os.Stderr, "flashroute: %d checkpoint(s) failed to persist\n", n)
-	}
+	reportResilience(res, flashroute.SimStats{})
 
 	if o.output != "" {
 		f, err := os.Create(o.output)
@@ -186,7 +167,7 @@ func scanRaw(ctx context.Context, o rawOpts) {
 		if err != nil {
 			fatal(err)
 		}
-		n, err := res.WriteBinary(f)
+		n, err := flashroute.WriteBinary(f, res)
 		if err != nil {
 			fatal(err)
 		}

@@ -30,11 +30,9 @@ import (
 
 	"github.com/flashroute/flashroute/internal/core"
 	"github.com/flashroute/flashroute/internal/netsim"
-	"github.com/flashroute/flashroute/internal/output"
 	"github.com/flashroute/flashroute/internal/probe"
 	"github.com/flashroute/flashroute/internal/rawsock"
 	"github.com/flashroute/flashroute/internal/simclock"
-	"github.com/flashroute/flashroute/internal/trace"
 )
 
 // PacketConn is the raw network access the scanners need: write whole
@@ -181,8 +179,9 @@ type Config struct {
 
 	// CheckpointSink arms crash-safe checkpointing: the engine hands it a
 	// versioned, checksummed snapshot of the complete scan state on every
-	// trigger and once more on the way out (cancellation included). Resume
-	// a snapshot with ResumeScanner / Simulation.ResumeScan.
+	// trigger and once more on the way out (cancellation included). The
+	// slice is only valid during the call: copy it to keep it. Resume a
+	// snapshot with ResumeScanner / Simulation.ResumeScan.
 	CheckpointSink func(snapshot []byte) error
 	// CheckpointEvery snapshots every N probes sent; CheckpointInterval
 	// snapshots when that much scan time has passed since the last one.
@@ -275,151 +274,6 @@ func (c Config) toCore() core.Config {
 	return cc
 }
 
-// Hop is one discovered interface on a route.
-type Hop struct {
-	TTL  uint8
-	Addr uint32
-	RTT  time.Duration
-}
-
-// Route is the discovered path to one destination.
-type Route struct {
-	Dst     uint32
-	Hops    []Hop
-	Reached bool
-	Length  uint8
-}
-
-// Result is what a scan produced.
-type Result struct {
-	inner *core.Result
-}
-
-// Probes returns the total probe count (preprobing and extra scans
-// included).
-func (r *Result) Probes() uint64 { return r.inner.ProbesSent }
-
-// PreprobeProbes returns the probes spent in the preprobing phase.
-func (r *Result) PreprobeProbes() uint64 { return r.inner.PreprobeProbes }
-
-// ScanTime returns the scan's total duration on its clock.
-func (r *Result) ScanTime() time.Duration { return r.inner.ScanTime }
-
-// Rounds returns the number of main probing rounds.
-func (r *Result) Rounds() int { return r.inner.Rounds }
-
-// InterfaceCount returns the number of unique responding interfaces.
-func (r *Result) InterfaceCount() int { return r.inner.Store.Interfaces().Len() }
-
-// HasInterface reports whether the given address was discovered.
-func (r *Result) HasInterface(addr uint32) bool { return r.inner.Store.Interfaces().Has(addr) }
-
-// ForEachInterface visits every discovered interface address.
-func (r *Result) ForEachInterface(fn func(addr uint32)) {
-	r.inner.Store.Interfaces().ForEach(fn)
-}
-
-// Route returns the discovered route to dst (nil if nothing about dst was
-// observed). Hop lists are only populated when Config.CollectRoutes was
-// set.
-func (r *Result) Route(dst uint32) *Route {
-	rt := r.inner.Store.Route(dst)
-	if rt == nil {
-		return nil
-	}
-	out := &Route{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-	for _, h := range rt.Hops {
-		out.Hops = append(out.Hops, Hop{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-	}
-	return out
-}
-
-// NumRoutes returns the number of destinations with at least one
-// response.
-func (r *Result) NumRoutes() int { return r.inner.Store.NumRoutes() }
-
-// ForEachRoute visits every route with responses.
-func (r *Result) ForEachRoute(fn func(*Route)) {
-	r.inner.Store.ForEachRoute(func(rt *trace.Route) {
-		out := &Route{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-		for _, h := range rt.Hops {
-			out.Hops = append(out.Hops, Hop{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-		}
-		fn(out)
-	})
-}
-
-// MeasuredDistance returns the preprobe-measured hop distance of a block
-// (0 when unmeasured) and whether it came from a direct measurement or a
-// proximity-span prediction.
-func (r *Result) MeasuredDistance(block int) (distance uint8, predicted bool) {
-	if r.inner.Measured != nil && r.inner.Measured[block] != 0 {
-		return r.inner.Measured[block], false
-	}
-	if r.inner.Predicted != nil && r.inner.Predicted[block] != 0 {
-		return r.inner.Predicted[block], true
-	}
-	return 0, false
-}
-
-// DistancesMeasured and DistancesPredicted count preprobing outcomes.
-func (r *Result) DistancesMeasured() int  { return r.inner.DistancesMeasured }
-func (r *Result) DistancesPredicted() int { return r.inner.DistancesPredicted }
-
-// MismatchedResponses counts responses discarded because their quoted
-// destination failed the source-port checksum test (in-flight destination
-// modification, paper §5.3).
-func (r *Result) MismatchedResponses() uint64 { return r.inner.MismatchedResponses }
-
-// RetransmittedProbes counts probes re-issued by the loss-tolerance knobs
-// (Config.PreprobeRetries and Config.ForwardRetries); always zero with
-// both at their zero defaults.
-func (r *Result) RetransmittedProbes() uint64 { return r.inner.RetransmittedProbes }
-
-// DuplicateResponses counts replies discarded because their (destination,
-// TTL) had already been processed — duplicated packets on the network, or
-// re-answers elicited by retransmitted probes.
-func (r *Result) DuplicateResponses() uint64 { return r.inner.DuplicateResponses }
-
-// ReadErrors counts receive-path read errors (transport failures distinct
-// from unparseable packets).
-func (r *Result) ReadErrors() uint64 { return r.inner.ReadErrors }
-
-// SendErrors counts probes abandoned because the transport's WritePacket
-// failed permanently or exhausted Config.SendRetries.
-func (r *Result) SendErrors() uint64 { return r.inner.SendErrors }
-
-// SendRetries counts write attempts re-issued after transient
-// (Temporary()) transport failures.
-func (r *Result) SendRetries() uint64 { return r.inner.SendRetries }
-
-// CheckpointErrors counts snapshots Config.CheckpointSink failed to
-// persist (the scan continues regardless).
-func (r *Result) CheckpointErrors() uint64 { return r.inner.CheckpointErrors }
-
-// Interrupted reports that the scan was cancelled before completion; the
-// result is the valid partial state at cancellation plus the CancelGrace
-// drain.
-func (r *Result) Interrupted() bool { return r.inner.Interrupted }
-
-// WriteCSV writes collected routes as CSV (destination,ttl,hop,rtt_us,
-// reached).
-func (r *Result) WriteCSV(w interface{ Write([]byte) (int, error) }) error {
-	return r.inner.Store.WriteCSV(w)
-}
-
-// WriteBinary writes collected routes in the compact binary record format
-// (read back with cmd/frreport or internal/output.Reader) and returns the
-// number of records.
-func (r *Result) WriteBinary(w interface{ Write([]byte) (int, error) }) (uint64, error) {
-	return output.WriteStore(w, r.inner.Store)
-}
-
-// WriteJSONL writes collected routes as one JSON object per line.
-func (r *Result) WriteJSONL(w interface{ Write([]byte) (int, error) }) error {
-	return r.inner.Store.WriteJSONL(w)
-}
-
 // Scanner runs FlashRoute scans over an arbitrary PacketConn and Clock —
 // the integration point for custom (non-simulated) transports.
 type Scanner struct {
@@ -474,15 +328,22 @@ func DialRaw() (PacketConn, error) {
 // know how to provide them, so Receivers > 1 works out of the box.
 func wireReaders(cfg Config, conn PacketConn) core.Config {
 	cc := cfg.toCore()
-	if cfg.Receivers > 1 {
-		switch c := conn.(type) {
-		case *netsim.Conn:
-			cc.NewReader = func() core.PacketReader { return c.NewReader() }
-		case *rawsock.Conn:
-			cc.NewReader = func() core.PacketReader { return c.NewReader() }
-		}
+	switch c := conn.(type) {
+	case *netsim.Conn:
+		cc.NewReader = readers(cfg.Receivers, c.NewReader)
+	case *rawsock.Conn:
+		cc.NewReader = readers(cfg.Receivers, c.NewReader)
 	}
 	return cc
+}
+
+// readers is the per-worker read-handle factory of a connection whose
+// NewReader method is newReader, or nil for the single inline receiver.
+func readers[R core.PacketReader](receivers int, newReader func() R) func() core.PacketReader {
+	if receivers <= 1 {
+		return nil
+	}
+	return func() core.PacketReader { return newReader() }
 }
 
 // Run executes the scan and returns its result.
@@ -502,11 +363,17 @@ func (s *Scanner) SetRate(pps int) { s.inner.SetRate(pps) }
 // writes a final checkpoint (when checkpointing is armed) and returns the
 // valid partial result with Interrupted set.
 func (s *Scanner) RunContext(ctx context.Context) (*Result, error) {
-	res, err := s.inner.RunContext(ctx)
+	return run(ctx, s.inner)
+}
+
+// run drives an engine to completion and wraps its result; an engine
+// error (a dead transport included) returns no result.
+func run[A comparable](ctx context.Context, sc *core.ScannerOf[A]) (*ResultOf[A], error) {
+	res, err := sc.RunContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{inner: res}, nil
+	return newResult(res), nil
 }
 
 // FormatAddr renders an address in dotted-quad form.

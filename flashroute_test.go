@@ -221,7 +221,7 @@ func TestBinaryOutputRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := res.WriteBinary(&buf)
+	n, err := WriteBinary(&buf, res)
 	if err != nil {
 		t.Fatal(err)
 	}

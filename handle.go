@@ -2,82 +2,91 @@ package flashroute
 
 import (
 	"context"
-	"sync/atomic"
-	"time"
 
+	"github.com/flashroute/flashroute/internal/core"
 	"github.com/flashroute/flashroute/internal/core6"
 )
 
-// scanHandle is the family-independent half of a running scan: live
-// progress, rate retargeting, cancellation and completion signaling.
-// The family-specific handle types embed it and add the typed result.
-type scanHandle struct {
-	cancel  context.CancelFunc
-	done    chan struct{}
-	probes  atomic.Uint64
-	setRate func(pps int)
-	err     error // written before done closes, read after
+// ScanHandleOf is a running scan started with StartScan or
+// StartResumeScan on a Simulation (ScanHandle) or a Simulation6
+// (ScanHandle6): poll Probes for live progress, retarget the rate with
+// SetRate, Cancel for a graceful partial result, and Wait (or select on
+// Done) for completion.
+type ScanHandleOf[A comparable] struct {
+	sc     *core.ScannerOf[A]
+	cancel context.CancelFunc
+	done   chan struct{}
+	res    *ResultOf[A]
+	err    error // written before done closes, read after
 }
 
-// Probes returns the number of probes issued so far — a monotone live
-// progress counter, safe to read from any goroutine while the scan runs.
-func (h *scanHandle) Probes() uint64 { return h.probes.Load() }
+// ScanHandle is a running IPv4 scan; ScanHandle6 an IPv6 one.
+type (
+	ScanHandle  = ScanHandleOf[uint32]
+	ScanHandle6 = ScanHandleOf[Addr6]
+)
+
+// startScan runs sc on its own goroutine under a cancellable ctx.
+func startScan[A comparable](ctx context.Context, sc *core.ScannerOf[A]) *ScanHandleOf[A] {
+	ctx, cancel := context.WithCancel(ctx)
+	h := &ScanHandleOf[A]{sc: sc, cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer cancel()
+		h.res, h.err = run(ctx, sc)
+		close(h.done)
+	}()
+	return h
+}
+
+// waitScan is Wait on a handle that may have failed to start.
+func waitScan[A comparable](h *ScanHandleOf[A], err error) (*ResultOf[A], error) {
+	if err != nil {
+		return nil, err
+	}
+	return h.Wait()
+}
+
+// Probes returns the number of probes this run has written so far — a
+// monotone live progress counter read from the engine's own atomics,
+// safe from any goroutine while the scan runs. After Wait it equals the
+// result's Probes for a fresh scan; a resumed scan counts only the
+// probes sent since the resume.
+func (h *ScanHandleOf[A]) Probes() uint64 {
+	probes, _ := h.sc.LiveCounters()
+	return probes
+}
 
 // SetRate retargets the scan's aggregate probing rate (see
 // Scanner.SetRate). Safe from any goroutine while the scan runs; calls
 // after completion are harmless no-ops on the finished scanner.
-func (h *scanHandle) SetRate(pps int) { h.setRate(pps) }
+func (h *ScanHandleOf[A]) SetRate(pps int) { h.sc.SetRate(pps) }
 
 // Cancel requests graceful cancellation: the scan stops sending, drains
 // in-flight replies, writes a final checkpoint when checkpointing is
 // armed, and completes with a valid partial result (Interrupted set).
-func (h *scanHandle) Cancel() { h.cancel() }
+func (h *ScanHandleOf[A]) Cancel() { h.cancel() }
 
 // Done is closed when the scan has completed and its result is ready.
-func (h *scanHandle) Done() <-chan struct{} { return h.done }
-
-// ScanHandle is a running IPv4 scan started with Simulation.StartScan or
-// Simulation.StartResumeScan: poll Probes for live progress, retarget the
-// rate with SetRate, Cancel for a graceful partial result, and Wait (or
-// select on Done) for completion.
-type ScanHandle struct {
-	scanHandle
-	res *Result
-}
+func (h *ScanHandleOf[A]) Done() <-chan struct{} { return h.done }
 
 // Wait blocks until the scan completes and returns its result.
-func (h *ScanHandle) Wait() (*Result, error) {
-	<-h.done
-	return h.res, h.err
-}
-
-// ScanHandle6 is ScanHandle for IPv6 scans.
-type ScanHandle6 struct {
-	scanHandle
-	res *Result6
-}
-
-// Wait blocks until the scan completes and returns its result.
-func (h *ScanHandle6) Wait() (*Result6, error) {
+func (h *ScanHandleOf[A]) Wait() (*ResultOf[A], error) {
 	<-h.done
 	return h.res, h.err
 }
 
 // StartScan begins a scan asynchronously and returns a handle to it.
 // Configuration errors are returned synchronously (the handle is nil);
-// once a handle is returned the scan is running and will complete. The
-// handle's probe counter wraps Config.Observer, so a caller-supplied
-// observer still sees every probe.
+// once a handle is returned the scan is running and will complete.
+// Config.Observer is left as given: the handle counts probes without
+// one.
 func (s *Simulation) StartScan(ctx context.Context, cfg Config) (*ScanHandle, error) {
 	s.fill(&cfg)
-	h := &ScanHandle{}
-	cfg.Observer = h.countingObserver(cfg.Observer)
 	sc, err := NewScanner(cfg, s.Conn(), s.clock)
 	if err != nil {
 		return nil, err
 	}
-	h.start(ctx, sc)
-	return h, nil
+	return startScan(ctx, sc.inner), nil
 }
 
 // StartResumeScan is StartScan over a checkpoint snapshot (see
@@ -86,87 +95,31 @@ func (s *Simulation) StartScan(ctx context.Context, cfg Config) (*ScanHandle, er
 // synchronously.
 func (s *Simulation) StartResumeScan(ctx context.Context, cfg Config, snapshot []byte) (*ScanHandle, error) {
 	s.fill(&cfg)
-	h := &ScanHandle{}
-	cfg.Observer = h.countingObserver(cfg.Observer)
 	sc, err := ResumeScanner(cfg, s.Conn(), s.clock, snapshot)
 	if err != nil {
 		return nil, err
 	}
-	h.start(ctx, sc)
-	return h, nil
-}
-
-func (h *ScanHandle) countingObserver(user func(uint32, uint8, time.Duration)) func(uint32, uint8, time.Duration) {
-	return func(dst uint32, ttl uint8, at time.Duration) {
-		h.probes.Add(1)
-		if user != nil {
-			user(dst, ttl, at)
-		}
-	}
-}
-
-func (h *ScanHandle) start(ctx context.Context, sc *Scanner) {
-	ctx, cancel := context.WithCancel(ctx)
-	h.cancel = cancel
-	h.done = make(chan struct{})
-	h.setRate = sc.SetRate
-	go func() {
-		defer cancel()
-		h.res, h.err = sc.RunContext(ctx)
-		close(h.done)
-	}()
+	return startScan(ctx, sc.inner), nil
 }
 
 // StartScan begins an IPv6 scan asynchronously; same contract as
 // Simulation.StartScan.
 func (s *Simulation6) StartScan(ctx context.Context, cfg Config6) (*ScanHandle6, error) {
-	h := &ScanHandle6{}
-	cfg.Observer = h.countingObserver(cfg.Observer)
-	ic, conn := s.toCore6(cfg)
-	sc, err := core6.NewScanner(ic, conn, s.clock)
+	ecfg, conn := s.toCore6(cfg)
+	sc, err := core.NewScannerOf(core6.Family(), ecfg, conn, s.clock)
 	if err != nil {
 		return nil, err
 	}
-	h.start(ctx, sc)
-	return h, nil
+	return startScan(ctx, sc), nil
 }
 
 // StartResumeScan begins a resumed IPv6 scan asynchronously; same
 // contract as Simulation.StartResumeScan.
 func (s *Simulation6) StartResumeScan(ctx context.Context, cfg Config6, snapshot []byte) (*ScanHandle6, error) {
-	h := &ScanHandle6{}
-	cfg.Observer = h.countingObserver(cfg.Observer)
-	ic, conn := s.toCore6(cfg)
-	sc, err := core6.ResumeScanner(ic, conn, s.clock, snapshot)
+	ecfg, conn := s.toCore6(cfg)
+	sc, err := core.Resume(core6.Family(), ecfg, conn, s.clock, snapshot)
 	if err != nil {
 		return nil, err
 	}
-	h.start(ctx, sc)
-	return h, nil
-}
-
-func (h *ScanHandle6) countingObserver(user func(Addr6, uint8, time.Duration)) func(Addr6, uint8, time.Duration) {
-	return func(dst Addr6, ttl uint8, at time.Duration) {
-		h.probes.Add(1)
-		if user != nil {
-			user(dst, ttl, at)
-		}
-	}
-}
-
-func (h *ScanHandle6) start(ctx context.Context, sc *core6.Scanner) {
-	ctx, cancel := context.WithCancel(ctx)
-	h.cancel = cancel
-	h.done = make(chan struct{})
-	h.setRate = sc.SetRate
-	go func() {
-		defer cancel()
-		res, err := sc.RunContext(ctx)
-		if err != nil {
-			h.err = err
-		} else {
-			h.res = &Result6{inner: res}
-		}
-		close(h.done)
-	}()
+	return startScan(ctx, sc), nil
 }

@@ -71,6 +71,11 @@ type ckptState struct {
 	nextAt atomic.Int64
 
 	errs atomic.Uint64
+
+	// buf is the encode buffer, reused across snapshots: the sink must
+	// not retain the slice, and snapshots never overlap (mid-scan ones
+	// hold mu, the final one runs alone).
+	buf []byte
 }
 
 // resumeInfo is where a restored snapshot positions the scan.
@@ -132,7 +137,7 @@ func (s *ScannerOf[A]) encodeCheckpoint(final, complete bool, merged *trace.Stor
 		w.Raw(ab[:asz])
 	}
 
-	w := snapshot.NewWriter(checkpointVersion)
+	w := snapshot.NewWriterInto(checkpointVersion, ck.buf)
 	w.Bool(complete)
 
 	// Configuration fingerprint: resuming under a different universe or
@@ -263,7 +268,8 @@ func (s *ScannerOf[A]) encodeCheckpoint(final, complete bool, merged *trace.Stor
 		putAddr(w, a)
 	}
 
-	return w.Finish()
+	ck.buf = w.Finish()
+	return ck.buf
 }
 
 // Resume reconstructs a scanner mid-scan from a checkpoint snapshot. The

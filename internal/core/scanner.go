@@ -420,9 +420,15 @@ func (s *ScannerOf[A]) makeShards() {
 // pps < 1 is clamped to 1 — SetRate reshapes pacing, it cannot remove it
 // (on a virtual clock an unthrottled sender would never yield), and a
 // floor of one probe per second is an effective pause for any real scan.
+// Retargeting to the rate already in effect is a no-op: the shards keep
+// their pacers, deadline anchors included, so the scan is timed exactly
+// as if SetRate had not been called.
 func (s *ScannerOf[A]) SetRate(pps int) {
 	if pps < 1 {
 		pps = 1
+	}
+	if pps == s.currentPPS() {
+		return
 	}
 	s.ratePPS.Store(int64(pps))
 	s.rateGen.Add(1)
@@ -997,12 +1003,14 @@ func (sh *senderShardOf[A]) runRounds(srcPortOffset uint16) {
 						}
 					}
 				}
+				if done {
+					// Unlink under the lock: remove sets dcbRemoved in
+					// flags, which the receiver reads and writes.
+					l.remove(cur)
+				}
 				s.locks.unlock(cur)
 				if retried > 0 {
 					sh.noteRetransmits(uint64(retried))
-				}
-				if done {
-					l.remove(cur)
 				}
 			}
 			cur = next

@@ -2,6 +2,8 @@ package core6
 
 import (
 	"testing"
+
+	"github.com/flashroute/flashroute/internal/core"
 )
 
 // TestBatch6GoldenFingerprint: Config.Batch > 1 on the IPv6 stack must be
@@ -21,7 +23,7 @@ func TestBatch6GoldenFingerprint(t *testing.T) {
 		e := newEnv(t, 256, 8, tc.seed)
 		e.cfg.Batch = 32
 		res := e.run(t)
-		if fp := fpOf6(res, e.cfg.Targets); fp != tc.fp {
+		if fp := fpOf6(res, e.targets); fp != tc.fp {
 			t.Errorf("seed %d batch=32: fingerprint %#x, want %#x", tc.seed, fp, tc.fp)
 		}
 		if res.ProbesSent != tc.probes {
@@ -50,7 +52,7 @@ func TestBatch6EquivalenceGrid(t *testing.T) {
 			return e
 		}
 		base := mk().run(t)
-		baseFP := fpOf6(base, mk().cfg.Targets)
+		baseFP := fpOf6(base, mk().targets)
 		if base.InterfaceCount() == 0 {
 			t.Fatalf("seed %d: degenerate baseline", seed)
 		}
@@ -62,17 +64,11 @@ func TestBatch6EquivalenceGrid(t *testing.T) {
 				e.cfg.Receivers = receivers
 				conn := e.net.NewConn()
 				if receivers > 1 {
-					e.cfg.NewReader = func() PacketReader { return conn.NewReader() }
+					e.cfg.NewReader = func() core.PacketReader { return conn.NewReader() }
 				}
-				sc, err := NewScanner(e.cfg, conn, e.clock)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := sc.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fp := fpOf6(res, e.cfg.Targets); fp != baseFP {
+				sc, err := core.NewScannerOf(Family(), e.cfg, conn, e.clock)
+				res := runScanner(t, sc, err)
+				if fp := fpOf6(res, e.targets); fp != baseFP {
 					t.Errorf("seed=%d senders=%d receivers=%d batch=32: fingerprint %#x, want %#x (interfaces %d vs %d)",
 						seed, senders, receivers, fp, baseFP,
 						res.InterfaceCount(), base.InterfaceCount())

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/flashroute/flashroute/internal/core"
 	"github.com/flashroute/flashroute/internal/netsim6"
 )
 
@@ -17,7 +18,7 @@ func TestResume6Equivalence(t *testing.T) {
 	const prefixes, perPrefix, seed = 256, 8, 9
 	base := newLockstepEnv6(t, prefixes, perPrefix, seed)
 	baseline := base.run(t)
-	baseFP := fpOf6(baseline, base.cfg.Targets)
+	baseFP := fpOf6(baseline, base.targets)
 	if baseline.InterfaceCount() == 0 {
 		t.Fatal("degenerate baseline")
 	}
@@ -38,7 +39,7 @@ func TestResume6Equivalence(t *testing.T) {
 		return nil
 	}
 	e.cfg.CancelGrace = 100 * time.Millisecond
-	sc, err := NewScanner(e.cfg, e.net.NewConn(), e.clock)
+	sc, err := core.NewScannerOf(Family(), e.cfg, e.net.NewConn(), e.clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,18 +58,12 @@ func TestResume6Equivalence(t *testing.T) {
 	}
 
 	e2 := newLockstepEnv6(t, prefixes, perPrefix, seed)
-	rsc, err := ResumeScanner(e2.cfg, e2.net.NewConn(), e2.clock, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := rsc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp := fpOf6(resumed, e2.cfg.Targets); fp != baseFP {
+	sc, err = core.Resume(Family(), e2.cfg, e2.net.NewConn(), e2.clock, data)
+	resumed := runScanner(t, sc, err)
+	if fp := fpOf6(resumed, e2.targets); fp != baseFP {
 		t.Errorf("resumed fingerprint %#x, want %#x (interfaces %d vs %d, reached %d vs %d)",
 			fp, baseFP, resumed.InterfaceCount(), baseline.InterfaceCount(),
-			len(reachedSet6(resumed, e2.cfg.Targets)), len(reachedSet6(baseline, base.cfg.Targets)))
+			len(reachedSet6(resumed, e2.targets)), len(reachedSet6(baseline, base.targets)))
 	}
 }
 
@@ -88,7 +83,7 @@ func TestFaultWindow6WriteErrorSurvived(t *testing.T) {
 	}
 	e.cfg.SendRetries = 10
 	res := e.run(t)
-	if fp, want := fpOf6(res, e.cfg.Targets), fpOf6(clean, base.cfg.Targets); fp != want {
+	if fp, want := fpOf6(res, e.targets), fpOf6(clean, base.targets); fp != want {
 		t.Errorf("write-error window changed the topology: fingerprint %#x, want %#x", fp, want)
 	}
 	if res.SendRetries == 0 {

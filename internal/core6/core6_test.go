@@ -1,21 +1,71 @@
 package core6
 
 import (
+	"bytes"
 	"io"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/flashroute/flashroute/internal/core"
 	"github.com/flashroute/flashroute/internal/netsim6"
 	"github.com/flashroute/flashroute/internal/probe6"
 	"github.com/flashroute/flashroute/internal/simclock"
+	"github.com/flashroute/flashroute/internal/trace"
 )
 
 type env struct {
-	topo  *netsim6.Topology
-	clock *simclock.Virtual
-	net   *netsim6.Net
-	cfg   Config
+	topo    *netsim6.Topology
+	clock   *simclock.Virtual
+	net     *netsim6.Net
+	targets []probe6.Addr
+	cfg     core.ConfigOf[probe6.Addr]
+}
+
+// result wraps the engine's IPv6 result with the read helpers the tests
+// share.
+type result struct{ *core.ResultOf[probe6.Addr] }
+
+func (r result) InterfaceCount() int { return r.Store.Interfaces().Len() }
+
+// Interfaces returns the discovered router interfaces in ascending
+// address order.
+func (r result) Interfaces() []probe6.Addr {
+	set := r.Store.Interfaces()
+	out := make([]probe6.Addr, 0, set.Len())
+	for a := range set.All() {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		return bytes.Compare(out[i][:], out[j][:]) < 0
+	})
+	return out
+}
+
+func (r result) Route(a probe6.Addr) *trace.RouteOf[probe6.Addr] { return r.Store.Route(a) }
+
+func (r result) ReachedCount() int {
+	n := 0
+	r.Store.ForEachRoute(func(rt *trace.RouteOf[probe6.Addr]) {
+		if rt.Reached {
+			n++
+		}
+	})
+	return n
+}
+
+// runScanner runs sc to completion.
+func runScanner(t testing.TB, sc *core.ScannerOf[probe6.Addr], err error) result {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return result{res}
 }
 
 func newEnv(t testing.TB, prefixes, perPrefix int, seed int64) *env {
@@ -26,25 +76,18 @@ func newEnv(t testing.TB, prefixes, perPrefix int, seed int64) *env {
 	topo := netsim6.NewTopology(p)
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	n := netsim6.New(topo, clock)
-	cfg := DefaultConfig()
-	cfg.Targets = topo.Targets()
+	targets := topo.Targets()
+	cfg := DefaultConfig(targets)
 	cfg.Source = topo.Vantage()
 	cfg.Seed = seed
 	cfg.PPS = 50_000
-	return &env{topo: topo, clock: clock, net: n, cfg: cfg}
+	return &env{topo: topo, clock: clock, net: n, targets: targets, cfg: cfg}
 }
 
-func (e *env) run(t testing.TB) *Result {
+func (e *env) run(t testing.TB) result {
 	t.Helper()
-	sc, err := NewScanner(e.cfg, e.net.NewConn(), e.clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	sc, err := core.NewScannerOf(Family(), e.cfg, e.net.NewConn(), e.clock)
+	return runScanner(t, sc, err)
 }
 
 func TestScan6Completes(t *testing.T) {
@@ -57,12 +100,12 @@ func TestScan6Completes(t *testing.T) {
 		t.Fatal("no targets reached")
 	}
 	// Candidate lists are pre-filtered; most targets should answer.
-	frac := float64(res.ReachedCount()) / float64(len(e.cfg.Targets))
+	frac := float64(res.ReachedCount()) / float64(len(e.targets))
 	if frac < 0.3 {
 		t.Fatalf("reached fraction %.2f too low for a candidate list", frac)
 	}
 	t.Logf("ipv6: %d targets, %d probes, %d ifaces, %d reached, %v",
-		len(e.cfg.Targets), res.ProbesSent, res.InterfaceCount(), res.ReachedCount(), res.ScanTime)
+		len(e.targets), res.ProbesSent, res.InterfaceCount(), res.ReachedCount(), res.ScanTime)
 }
 
 // TestPreprobe6MeasuresDistances: the one-probe distance measurement must
@@ -77,7 +120,7 @@ func TestPreprobe6MeasuresDistances(t *testing.T) {
 		t.Fatal("same-prefix prediction produced nothing")
 	}
 	t.Logf("measured=%d predicted=%d of %d targets",
-		res.DistancesMeasured, res.DistancesPredicted, len(e.cfg.Targets))
+		res.DistancesMeasured, res.DistancesPredicted, len(e.targets))
 }
 
 // TestRedundancyElimination6: the stop set must save probes in IPv6 too.
@@ -107,7 +150,7 @@ func TestRoutes6AreCoherent(t *testing.T) {
 	e.cfg.CollectRoutes = true
 	res := e.run(t)
 	checked := 0
-	for _, dst := range e.cfg.Targets {
+	for _, dst := range e.targets {
 		r := res.Route(dst)
 		if r == nil || !r.Reached {
 			continue
@@ -133,13 +176,12 @@ func TestRoutes6AreCoherent(t *testing.T) {
 
 func TestScanner6Validation(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
-	if _, err := NewScanner(Config{}, nil, clock); err == nil {
+	if _, err := core.NewScannerOf(Family(), DefaultConfig(nil), nil, clock); err == nil {
 		t.Fatal("empty targets accepted")
 	}
-	cfg := DefaultConfig()
-	cfg.Targets = []probe6.Addr{{0x20}}
+	cfg := DefaultConfig([]probe6.Addr{{0x20}})
 	cfg.SplitTTL = 99
-	if _, err := NewScanner(cfg, nil, clock); err == nil {
+	if _, err := core.NewScannerOf(Family(), cfg, nil, clock); err == nil {
 		t.Fatal("bad split accepted")
 	}
 }
@@ -171,7 +213,7 @@ func TestSparseIndexIgnoresForeignResponses(t *testing.T) {
 	// A response quoting a destination outside the target list must be
 	// dropped, not crash or misattribute.
 	e := newEnv(t, 8, 4, 5)
-	e.cfg.Preprobe = false // probe into the void; only the injected reply arrives
+	e.cfg.Preprobe = core.PreprobeOff // probe into the void; only the injected reply arrives
 	var foreign probe6.Addr
 	foreign[0] = 0xfd
 	var pkt [probe6.HeaderLen + probe6.ICMPErrorLen]byte
@@ -192,14 +234,8 @@ func TestSparseIndexIgnoresForeignResponses(t *testing.T) {
 	tp[4], tp[5] = 0, probe6.UDPHeaderLen
 	probe6.MarshalICMPError(pkt[probe6.HeaderLen:], probe6.ICMP6TypeTimeExceeded,
 		probe6.ICMP6CodeHopLimit, &quote, tp[:])
-	sc, err := NewScanner(e.cfg, &stubConn{pkts: [][]byte{pkt[:]}}, e.clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, err := core.NewScannerOf(Family(), e.cfg, &stubConn{pkts: [][]byte{pkt[:]}}, e.clock)
+	res := runScanner(t, sc, err)
 	if res.UnparsedResponses != 1 {
 		t.Fatalf("foreign response not dropped: unparsed=%d", res.UnparsedResponses)
 	}

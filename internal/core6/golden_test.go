@@ -12,7 +12,7 @@ import (
 // over the sorted interface set and the sorted reached-target set. Probe
 // order and timing do not enter the fingerprint, only what was
 // discovered — the IPv6 analogue of the IPv4 engine's fpOf.
-func fpOf6(res *Result, targets []probe6.Addr) uint64 {
+func fpOf6(res result, targets []probe6.Addr) uint64 {
 	ifaces := res.Interfaces()
 	var reached []probe6.Addr
 	for _, dst := range targets {
@@ -59,7 +59,7 @@ func TestGoldenFingerprint6(t *testing.T) {
 	for _, tc := range cases {
 		e := newEnv(t, 256, 8, tc.seed)
 		res := e.run(t)
-		if fp := fpOf6(res, e.cfg.Targets); fp != tc.fp {
+		if fp := fpOf6(res, e.targets); fp != tc.fp {
 			t.Errorf("seed %d: fingerprint %#x, want %#x", tc.seed, fp, tc.fp)
 		}
 		if res.ProbesSent != tc.probes {

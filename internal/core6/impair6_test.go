@@ -26,7 +26,7 @@ func newLockstepEnv6(t testing.TB, prefixes, perPrefix int, seed int64) *env {
 }
 
 // reachedSet6 collects the targets a scan reached.
-func reachedSet6(res *Result, targets []probe6.Addr) map[probe6.Addr]bool {
+func reachedSet6(res result, targets []probe6.Addr) map[probe6.Addr]bool {
 	m := make(map[probe6.Addr]bool)
 	for _, dst := range targets {
 		if rt := res.Route(dst); rt != nil && rt.Reached {
@@ -51,7 +51,7 @@ func TestImpairmentDeterminism6(t *testing.T) {
 		ReorderWindow: 40 * time.Millisecond,
 		ExtraJitter:   10 * time.Millisecond,
 	}
-	run := func() (*Result, *netsim6.Stats) {
+	run := func() (result, *netsim6.Stats) {
 		e := newEnv(t, 256, 8, 7)
 		e.topo.P.Impair = im
 		e.cfg.PreprobeRetries = 1
@@ -98,10 +98,10 @@ func TestImpairmentDeterminism6(t *testing.T) {
 // how the permuted order is sharded — one sender and four must find
 // exactly the same interfaces and reach exactly the same targets.
 func TestMultiSenderInvariant6(t *testing.T) {
-	run := func(senders int) (*Result, []probe6.Addr) {
+	run := func(senders int) (result, []probe6.Addr) {
 		e := newLockstepEnv6(t, 256, 8, 9)
 		e.cfg.Senders = senders
-		return e.run(t), e.cfg.Targets
+		return e.run(t), e.targets
 	}
 	one, targets := run(1)
 	four, _ := run(4)
@@ -132,12 +132,12 @@ func TestMultiSenderInvariant6(t *testing.T) {
 // and duplication must complete, retry, and discover a subset of what the
 // clean 4-sender scan finds (loss is monotone in lockstep).
 func TestMultiSenderImpaired6(t *testing.T) {
-	run := func(im netsim6.Impairments) (*Result, []probe6.Addr) {
+	run := func(im netsim6.Impairments) (result, []probe6.Addr) {
 		e := newLockstepEnv6(t, 256, 8, 13)
 		e.cfg.Senders = 4
 		e.cfg.ForwardRetries = 1
 		e.topo.P.Impair = im
-		return e.run(t), e.cfg.Targets
+		return e.run(t), e.targets
 	}
 	clean, targets := run(netsim6.Impairments{})
 	lossy, _ := run(netsim6.Impairments{LossProb: 0.15, DupProb: 0.05})
@@ -168,7 +168,7 @@ func TestMultiSenderImpaired6(t *testing.T) {
 // TestPreprobeRetry6: under loss, preprobe retry passes must recover
 // measured distances a single pass lost.
 func TestPreprobeRetry6(t *testing.T) {
-	run := func(retries int) *Result {
+	run := func(retries int) result {
 		e := newEnv(t, 256, 8, 1)
 		e.topo.P.Impair = netsim6.Impairments{LossProb: 0.30}
 		e.cfg.PreprobeRetries = retries
@@ -192,11 +192,11 @@ func TestPreprobeRetry6(t *testing.T) {
 // not lose discovery relative to giving up (lockstep environment, where
 // retransmissions cannot cost unrelated replies).
 func TestForwardRetry6(t *testing.T) {
-	run := func(retries int) (*Result, []probe6.Addr) {
+	run := func(retries int) (result, []probe6.Addr) {
 		e := newLockstepEnv6(t, 256, 8, 1)
 		e.topo.P.Impair = netsim6.Impairments{LossProb: 0.15}
 		e.cfg.ForwardRetries = retries
-		return e.run(t), e.cfg.Targets
+		return e.run(t), e.targets
 	}
 	plain, targets := run(0)
 	retried, _ := run(1)
@@ -224,11 +224,11 @@ func TestForwardRetry6(t *testing.T) {
 // hop limit and could terminate backward probing early against its own
 // stop-set entry).
 func TestDuplicateReplyDedup6(t *testing.T) {
-	run := func(dup float64) (*Result, []probe6.Addr) {
+	run := func(dup float64) (result, []probe6.Addr) {
 		e := newLockstepEnv6(t, 256, 8, 11)
 		e.cfg.CollectRoutes = true
 		e.topo.P.Impair = netsim6.Impairments{DupProb: dup}
-		return e.run(t), e.cfg.Targets
+		return e.run(t), e.targets
 	}
 	clean, targets := run(0)
 	duped, _ := run(1)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"github.com/flashroute/flashroute/internal/core"
 	"github.com/flashroute/flashroute/internal/core6"
 	"github.com/flashroute/flashroute/internal/metrics"
 	"github.com/flashroute/flashroute/internal/netsim6"
@@ -65,12 +66,11 @@ func IPv6Comparison(prefixes, perPrefix int, seed int64) (*IPv6Result, error) {
 	}
 
 	topoF, netF, clockF := build()
-	fcfg := core6.DefaultConfig()
-	fcfg.Targets = topoF.Targets()
+	fcfg := core6.DefaultConfig(topoF.Targets())
 	fcfg.Source = topoF.Vantage()
 	fcfg.Seed = seed
 	fcfg.PPS = pps
-	fsc, err := core6.NewScanner(fcfg, netF.NewConn(), clockF)
+	fsc, err := core.NewScannerOf(core6.Family(), fcfg, netF.NewConn(), clockF)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func IPv6Comparison(prefixes, perPrefix int, seed int64) (*IPv6Result, error) {
 		return nil, err
 	}
 	out.FlashProbes = fres.ProbesSent
-	out.FlashInterfaces = fres.InterfaceCount()
+	out.FlashInterfaces = fres.Store.Interfaces().Len()
 	out.FlashTime = fres.ScanTime
 	out.FlashMeasured = fres.DistancesMeasured
 	out.FlashPredicted = fres.DistancesPredicted
@@ -133,14 +133,13 @@ func MaxRate6(targetCount int, seed int64) (RateRow, error) {
 	clock := simclock.NewReal()
 	topo := fastTopo6(prefixes, perPrefix, seed)
 	n := netsim6.New(topo, clock)
-	cfg := core6.DefaultConfig()
-	cfg.Targets = topo.Targets()
+	cfg := core6.DefaultConfig(topo.Targets())
 	cfg.Source = topo.Vantage()
 	cfg.Seed = seed
 	cfg.PPS = 0 // unthrottled
 	cfg.MinRoundTime = time.Millisecond
 	cfg.DrainWait = 100 * time.Millisecond
-	sc, err := core6.NewScanner(cfg, n.NewConn(), clock)
+	sc, err := core.NewScannerOf(core6.Family(), cfg, n.NewConn(), clock)
 	if err != nil {
 		return RateRow{}, err
 	}
@@ -149,7 +148,7 @@ func MaxRate6(targetCount int, seed int64) (RateRow, error) {
 		return RateRow{}, err
 	}
 	rate := float64(res.ProbesSent) / res.ScanTime.Seconds()
-	scale := float64(PaperBlocks) / float64(len(cfg.Targets))
+	scale := float64(PaperBlocks) / float64(cfg.Blocks)
 	return RateRow{
 		Name:              "FlashRoute6-16",
 		MeasuredKpps:      rate / 1000,
@@ -167,15 +166,14 @@ func SenderScaling6(prefixes, perPrefix int, seed int64, senders []int) ([]Sende
 		clock := simclock.NewReal()
 		topo := fastTopo6(prefixes, perPrefix, seed)
 		n := netsim6.New(topo, clock)
-		cfg := core6.DefaultConfig()
-		cfg.Targets = topo.Targets()
+		cfg := core6.DefaultConfig(topo.Targets())
 		cfg.Source = topo.Vantage()
 		cfg.Seed = seed
 		cfg.PPS = 0 // unthrottled
 		cfg.Senders = k
 		cfg.MinRoundTime = time.Millisecond
 		cfg.DrainWait = 100 * time.Millisecond
-		sc, err := core6.NewScanner(cfg, n.NewConn(), clock)
+		sc, err := core.NewScannerOf(core6.Family(), cfg, n.NewConn(), clock)
 		if err != nil {
 			return nil, err
 		}
@@ -187,7 +185,7 @@ func SenderScaling6(prefixes, perPrefix int, seed int64, senders []int) ([]Sende
 		out = append(out, SenderRateRow{
 			Senders:      k,
 			MeasuredKpps: rate / 1000,
-			Interfaces:   res.InterfaceCount(),
+			Interfaces:   res.Store.Interfaces().Len(),
 		})
 	}
 	return out, nil

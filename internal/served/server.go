@@ -41,12 +41,11 @@ type Config struct {
 	Now func() time.Time
 }
 
-// liveScan is the family-independent face of a running scan handle;
-// both flashroute.ScanHandle and ScanHandle6 satisfy it.
+// liveScan is the face of a running job the status and budget paths
+// use; the scan and cluster handles of both families satisfy it.
 type liveScan interface {
 	Probes() uint64
 	SetRate(pps int)
-	Cancel()
 }
 
 // Job is one submitted scan. Mutable fields are guarded by the server
@@ -71,15 +70,16 @@ type Job struct {
 	userCanceled atomic.Bool
 	cancel       context.CancelFunc
 	rate         atomic.Int64
-	handle       atomic.Value // liveScan
+	handle       atomic.Pointer[liveScan]
 	done         chan struct{}
 }
 
 // liveHandle returns the running scan handle, nil before the scan
-// starts or after the job goroutine exits.
+// starts and once the job has stopped running (finishJob and
+// releaseInterrupted clear it, so a finished job pins no scanner).
 func (j *Job) liveHandle() liveScan {
-	if h, ok := j.handle.Load().(liveScan); ok {
-		return h
+	if h := j.handle.Load(); h != nil {
+		return *h
 	}
 	return nil
 }
@@ -317,33 +317,65 @@ func (s *Server) runJob(j *Job) {
 	}
 	sink := func(snapshot []byte) error { return s.store.PutCheckpoint(j.ID, snapshot) }
 
-	if j.Spec.Type == "cluster" {
-		s.runCluster(ctx, j, rate, every)
-	} else if j.Spec.Family == FamilyV6 {
-		s.runV6(ctx, j, rate, every, sink)
-	} else {
-		s.runV4(ctx, j, rate, every, sink)
+	// Checkpointing is set for every job; a cluster job's coordinator
+	// replaces the sink with its per-shard one (see runCluster).
+	if j.Spec.Family == FamilyV6 {
+		cfg := j.Spec.Scan6Config()
+		cfg.PPS, cfg.CheckpointEvery, cfg.CheckpointSink = rate, every, sink
+		runOn(s, ctx, j, flashroute.NewSimulation6(j.Spec.Sim6Config()), cfg, every)
+		return
 	}
-}
-
-func (s *Server) runV4(ctx context.Context, j *Job, rate, every int, sink func([]byte) error) {
 	sim, err := flashroute.NewSimulationCIDRs(j.Spec.SimConfig())
 	if err != nil {
 		s.finishJob(j, StateFailed, err.Error(), nil)
 		return
 	}
 	cfg := j.Spec.ScanConfig()
-	cfg.PPS = rate
-	cfg.CheckpointEvery = every
-	cfg.CheckpointSink = sink
-	var h *flashroute.ScanHandle
+	cfg.PPS, cfg.CheckpointEvery, cfg.CheckpointSink = rate, every, sink
+	runOn(s, ctx, j, sim, cfg, every)
+}
+
+// simulation is what a job probes: a flashroute.Simulation (address A =
+// uint32, config C = Config) or a Simulation6.
+type simulation[A comparable, C any] interface {
+	StartScan(ctx context.Context, cfg C) (*flashroute.ScanHandleOf[A], error)
+	StartResumeScan(ctx context.Context, cfg C, snapshot []byte) (*flashroute.ScanHandleOf[A], error)
+	StartClusterScan(ctx context.Context, cfg C, opt flashroute.ClusterOptions) (*flashroute.ClusterHandleOf[A], error)
+}
+
+// outcome is what finishing a job needs of its result; scan and
+// cluster results of both families provide it.
+type outcome interface {
+	Interrupted() bool
+	Probes() uint64
+	InterfaceCount() int
+	WriteJSONL(w io.Writer) error
+}
+
+// runOn runs a job against its simulation.
+func runOn[A comparable, C any](s *Server, ctx context.Context, j *Job, sim simulation[A, C], cfg C, every int) {
+	if j.Spec.Type == "cluster" {
+		runCluster(s, ctx, j, sim, cfg, every)
+	} else {
+		runScan(s, ctx, j, sim, cfg)
+	}
+}
+
+// runScan runs a single-vantage scan job, resuming it from its
+// checkpoint on the restart path.
+func runScan[A comparable, C any](s *Server, ctx context.Context, j *Job, sim simulation[A, C], cfg C) {
+	var h *flashroute.ScanHandleOf[A]
+	var err error
 	if j.resume {
 		h, err = sim.StartResumeScan(ctx, cfg, j.snapshot)
 		if errors.Is(err, flashroute.ErrCheckpointComplete) {
 			// The previous daemon died between the scan's final snapshot
 			// and its results write: the scan is done but its output was
-			// lost. Sim-mode scans are deterministic, so a fresh run
-			// regenerates the identical result.
+			// lost, so run it again. The rerun regenerates the identical
+			// result when the scan is reproducible: one sender, and
+			// either the same rate grants as the lost run (a changed
+			// tenant mix retimes its probes) or a lockstep topology,
+			// where timing does not shape discovery.
 			h, err = sim.StartScan(ctx, cfg)
 		}
 	} else {
@@ -353,81 +385,7 @@ func (s *Server) runV4(ctx context.Context, j *Job, rate, every int, sink func([
 		s.finishJob(j, StateFailed, err.Error(), nil)
 		return
 	}
-	j.handle.Store(liveScan(h))
-	h.SetRate(int(j.rate.Load())) // adopt any grant change that raced the start
-	res, err := h.Wait()
-	if err != nil {
-		s.finishJob(j, StateFailed, err.Error(), nil)
-		return
-	}
-	final := func(state string) {
-		s.finishJob(j, state, "", &scanSummary{
-			probes: res.Probes(), interfaces: res.InterfaceCount(),
-			writeNDJSON: func(w io.Writer) error { return res.WriteJSONL(w) },
-		})
-	}
-	switch {
-	case res.Interrupted() && j.userCanceled.Load():
-		final(StateCanceled) // valid partial result
-	case res.Interrupted():
-		s.releaseInterrupted(j) // daemon stop: stays resumable
-	default:
-		final(StateDone)
-	}
-}
-
-func (s *Server) runV6(ctx context.Context, j *Job, rate, every int, sink func([]byte) error) {
-	sim := flashroute.NewSimulation6(j.Spec.Sim6Config())
-	cfg := j.Spec.Scan6Config()
-	cfg.PPS = rate
-	cfg.CheckpointEvery = every
-	cfg.CheckpointSink = sink
-	var h *flashroute.ScanHandle6
-	var err error
-	if j.resume {
-		h, err = sim.StartResumeScan(ctx, cfg, j.snapshot)
-		if errors.Is(err, flashroute.ErrCheckpointComplete) {
-			h, err = sim.StartScan(ctx, cfg)
-		}
-	} else {
-		h, err = sim.StartScan(ctx, cfg)
-	}
-	if err != nil {
-		s.finishJob(j, StateFailed, err.Error(), nil)
-		return
-	}
-	j.handle.Store(liveScan(h))
-	h.SetRate(int(j.rate.Load()))
-	res, err := h.Wait()
-	if err != nil {
-		s.finishJob(j, StateFailed, err.Error(), nil)
-		return
-	}
-	final := func(state string) {
-		s.finishJob(j, state, "", &scanSummary{
-			probes: res.Probes(), interfaces: res.InterfaceCount(),
-			writeNDJSON: func(w io.Writer) error { return res.WriteJSONL(w) },
-		})
-	}
-	switch {
-	case res.Interrupted() && j.userCanceled.Load():
-		final(StateCanceled)
-	case res.Interrupted():
-		s.releaseInterrupted(j)
-	default:
-		final(StateDone)
-	}
-}
-
-// clusterOutcome is the family-independent view of a finished cluster
-// scan that runCluster needs to terminate a job.
-type clusterOutcome struct {
-	interrupted bool
-	probes      uint64
-	interfaces  int
-	migrations  int
-	degraded    uint64
-	jsonl       func(io.Writer) error
+	await(s, j, h, h.Wait, nil)
 }
 
 // runCluster runs a "cluster" job: the multi-vantage coordinator of
@@ -440,7 +398,7 @@ type clusterOutcome struct {
 // faults the resumed/re-run output is bit-identical; at K>1 the merged
 // output is deterministic given the stop-set merge log, whose
 // interleaving varies run to run (DESIGN.md §13).
-func (s *Server) runCluster(ctx context.Context, j *Job, rate, every int) {
+func runCluster[A comparable, C any](s *Server, ctx context.Context, j *Job, sim simulation[A, C], cfg C, every int) {
 	opt := flashroute.ClusterOptions{
 		Workers:         j.Spec.Workers,
 		WatchdogTimeout: s.cfg.WatchdogTimeout,
@@ -454,90 +412,45 @@ func (s *Server) runCluster(ctx context.Context, j *Job, rate, every int) {
 	if opt.Workers == 0 {
 		opt.Workers = 2
 	}
-	var h liveScan
-	var wait func() (*clusterOutcome, error)
-	if j.Spec.Family == FamilyV6 {
-		sim := flashroute.NewSimulation6(j.Spec.Sim6Config())
-		cfg := j.Spec.Scan6Config()
-		cfg.PPS = rate
-		ch, err := sim.StartClusterScan(ctx, cfg, opt)
-		if err != nil {
-			s.finishJob(j, StateFailed, err.Error(), nil)
-			return
-		}
-		h = ch
-		wait = func() (*clusterOutcome, error) {
-			res, err := ch.Wait()
-			if err != nil {
-				return nil, err
-			}
-			return &clusterOutcome{
-				interrupted: res.Interrupted(),
-				probes:      res.Probes(),
-				interfaces:  res.InterfaceCount(),
-				migrations:  res.Migrations(),
-				degraded:    res.StopSetDegraded(),
-				jsonl:       func(w io.Writer) error { return res.WriteJSONL(w) },
-			}, nil
-		}
-	} else {
-		sim, err := flashroute.NewSimulationCIDRs(j.Spec.SimConfig())
-		if err != nil {
-			s.finishJob(j, StateFailed, err.Error(), nil)
-			return
-		}
-		ch, err := sim.StartClusterScan(ctx, j.clusterConfigV4(rate), opt)
-		if err != nil {
-			s.finishJob(j, StateFailed, err.Error(), nil)
-			return
-		}
-		h = ch
-		wait = func() (*clusterOutcome, error) {
-			res, err := ch.Wait()
-			if err != nil {
-				return nil, err
-			}
-			return &clusterOutcome{
-				interrupted: res.Interrupted(),
-				probes:      res.Probes(),
-				interfaces:  res.InterfaceCount(),
-				migrations:  res.Migrations(),
-				degraded:    res.StopSetDegraded(),
-				jsonl:       func(w io.Writer) error { return res.WriteJSONL(w) },
-			}, nil
-		}
+	h, err := sim.StartClusterScan(ctx, cfg, opt)
+	if err != nil {
+		s.finishJob(j, StateFailed, err.Error(), nil)
+		return
 	}
-	j.handle.Store(h)
-	h.SetRate(int(j.rate.Load()))
-	out, err := wait()
+	await(s, j, h, h.Wait, func(res *flashroute.ClusterResultOf[A], sum *scanSummary) {
+		// The shard snapshots only matter while the job can still resume.
+		_ = s.store.RemoveShardCheckpoints(j.ID)
+		sum.migrations, sum.degraded = res.Migrations(), res.StopSetDegraded()
+	})
+}
+
+// await publishes a started scan's handle and waits for its result. A
+// user cancel or completion moves the job to its terminal state, with
+// amend (when set) adding to the summary; the daemon's own stop leaves
+// it resumable.
+func await[R outcome](s *Server, j *Job, h liveScan, wait func() (R, error), amend func(R, *scanSummary)) {
+	j.handle.Store(&h)
+	h.SetRate(int(j.rate.Load())) // adopt any grant change that raced the start
+	res, err := wait()
 	if err != nil {
 		s.finishJob(j, StateFailed, err.Error(), nil)
 		return
 	}
 	final := func(state string) {
-		// The shard snapshots only matter while the job can still resume.
-		_ = s.store.RemoveShardCheckpoints(j.ID)
-		s.finishJob(j, state, "", &scanSummary{
-			probes: out.probes, interfaces: out.interfaces,
-			migrations: out.migrations, degraded: out.degraded,
-			writeNDJSON: out.jsonl,
-		})
+		sum := &scanSummary{probes: res.Probes(), interfaces: res.InterfaceCount(), writeNDJSON: res.WriteJSONL}
+		if amend != nil {
+			amend(res, sum)
+		}
+		s.finishJob(j, state, "", sum)
 	}
 	switch {
-	case out.interrupted && j.userCanceled.Load():
-		final(StateCanceled)
-	case out.interrupted:
-		s.releaseInterrupted(j) // restart resumes every shard from its checkpoint
+	case res.Interrupted() && j.userCanceled.Load():
+		final(StateCanceled) // valid partial result
+	case res.Interrupted():
+		s.releaseInterrupted(j) // daemon stop: stays resumable
 	default:
 		final(StateDone)
 	}
-}
-
-// clusterConfigV4 is the v4 scan config of a cluster job.
-func (j *Job) clusterConfigV4(rate int) flashroute.Config {
-	cfg := j.Spec.ScanConfig()
-	cfg.PPS = rate
-	return cfg
 }
 
 type scanSummary struct {
@@ -560,6 +473,7 @@ func (s *Server) finishJob(j *Job, state, errMsg string, sum *scanSummary) {
 		}
 	}
 	s.mu.Lock()
+	j.handle.Store(nil)
 	j.state = state
 	j.errMsg = errMsg
 	if sum != nil {
@@ -585,6 +499,10 @@ func (s *Server) finishJob(j *Job, state, errMsg string, sum *scanSummary) {
 // out — carries the exact probing state.
 func (s *Server) releaseInterrupted(j *Job) {
 	s.mu.Lock()
+	if h := j.liveHandle(); h != nil {
+		j.probes = h.Probes()
+	}
+	j.handle.Store(nil)
 	s.active--
 	close(j.done)
 	s.mu.Unlock()
@@ -646,8 +564,7 @@ type JobStatus struct {
 	StopSetDegraded uint64 `json:"stopset_degraded,omitempty"`
 }
 
-// clusterLive is the extra face a running cluster handle exposes; both
-// flashroute.ClusterHandle and ClusterHandle6 satisfy it.
+// clusterLive is the extra face a running cluster handle exposes.
 type clusterLive interface {
 	Migrations() int
 	StopSetDegraded() uint64

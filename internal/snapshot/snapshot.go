@@ -53,7 +53,14 @@ type Writer struct {
 
 // NewWriter starts a snapshot at the given format version.
 func NewWriter(version uint16) *Writer {
-	w := &Writer{buf: make([]byte, 0, 4096)}
+	return NewWriterInto(version, make([]byte, 0, 4096))
+}
+
+// NewWriterInto is NewWriter writing over buf's storage (from buf[:0]),
+// so a caller that snapshots repeatedly reuses one grown buffer instead
+// of regrowing a fresh one each time.
+func NewWriterInto(version uint16, buf []byte) *Writer {
+	w := &Writer{buf: buf[:0]}
 	w.buf = append(w.buf, Magic[:]...)
 	w.buf = binary.LittleEndian.AppendUint16(w.buf, version)
 	return w

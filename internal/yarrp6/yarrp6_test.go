@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/flashroute/flashroute/internal/core"
 	"github.com/flashroute/flashroute/internal/core6"
 	"github.com/flashroute/flashroute/internal/netsim6"
 	"github.com/flashroute/flashroute/internal/probe6"
@@ -67,11 +68,10 @@ func TestFlashRoute6BeatsYarrp6(t *testing.T) {
 	}
 
 	topoB, netB, clockB := sim(t, 512, 8, 2)
-	fcfg := core6.DefaultConfig()
-	fcfg.Targets = topoB.Targets()
+	fcfg := core6.DefaultConfig(topoB.Targets())
 	fcfg.Source = topoB.Vantage()
 	fcfg.PPS = 50_000
-	fsc, err := core6.NewScanner(fcfg, netB.NewConn(), clockB)
+	fsc, err := core.NewScannerOf(core6.Family(), fcfg, netB.NewConn(), clockB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestFlashRoute6BeatsYarrp6(t *testing.T) {
 		t.Fatalf("FlashRoute6 should use <50%% of Yarrp6's probes: %d vs %d",
 			fres.ProbesSent, yres.ProbesSent)
 	}
-	if float64(fres.InterfaceCount()) < 0.9*float64(yres.InterfaceCount()) {
+	if float64(fres.Store.Interfaces().Len()) < 0.9*float64(yres.InterfaceCount()) {
 		t.Fatalf("FlashRoute6 lost too many interfaces: %d vs %d",
-			fres.InterfaceCount(), yres.InterfaceCount())
+			fres.Store.Interfaces().Len(), yres.InterfaceCount())
 	}
 	t.Logf("yarrp6: %d probes/%d ifaces; flashroute6: %d probes/%d ifaces (%.0f%% of probes)",
-		yres.ProbesSent, yres.InterfaceCount(), fres.ProbesSent, fres.InterfaceCount(),
+		yres.ProbesSent, yres.InterfaceCount(), fres.ProbesSent, fres.Store.Interfaces().Len(),
 		100*float64(fres.ProbesSent)/float64(yres.ProbesSent))
 }
 

@@ -316,12 +316,7 @@ func (s *Simulation) Scan(cfg Config) (*Result, error) {
 // ScanContext is Scan with graceful cancellation (see
 // Scanner.RunContext).
 func (s *Simulation) ScanContext(ctx context.Context, cfg Config) (*Result, error) {
-	s.fill(&cfg)
-	sc, err := NewScanner(cfg, s.Conn(), s.clock)
-	if err != nil {
-		return nil, err
-	}
-	return sc.RunContext(ctx)
+	return waitScan(s.StartScan(ctx, cfg))
 }
 
 // ResumeScan continues a checkpointed scan against this simulation (see
@@ -332,12 +327,7 @@ func (s *Simulation) ResumeScan(cfg Config, snapshot []byte) (*Result, error) {
 
 // ResumeScanContext is ResumeScan with graceful cancellation.
 func (s *Simulation) ResumeScanContext(ctx context.Context, cfg Config, snapshot []byte) (*Result, error) {
-	s.fill(&cfg)
-	sc, err := ResumeScanner(cfg, s.Conn(), s.clock, snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return sc.RunContext(ctx)
+	return waitScan(s.StartResumeScan(ctx, cfg, snapshot))
 }
 
 func (s *Simulation) fill(cfg *Config) {

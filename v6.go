@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"github.com/flashroute/flashroute/internal/core"
 	"github.com/flashroute/flashroute/internal/core6"
 	"github.com/flashroute/flashroute/internal/netsim6"
 	"github.com/flashroute/flashroute/internal/probe6"
@@ -163,165 +164,69 @@ type Config6 struct {
 	CancelGrace time.Duration
 }
 
-// Result6 is what an IPv6 scan produced.
-type Result6 struct {
-	inner *core6.Result
-}
-
-// Probes returns the total probe count.
-func (r *Result6) Probes() uint64 { return r.inner.ProbesSent }
-
-// ScanTime returns the scan duration.
-func (r *Result6) ScanTime() time.Duration { return r.inner.ScanTime }
-
-// InterfaceCount returns the unique router interfaces found.
-func (r *Result6) InterfaceCount() int { return r.inner.InterfaceCount() }
-
-// ReachedCount returns how many targets answered.
-func (r *Result6) ReachedCount() int { return r.inner.ReachedCount() }
-
-// DistancesMeasured / DistancesPredicted report preprobing coverage.
-func (r *Result6) DistancesMeasured() int  { return r.inner.DistancesMeasured }
-func (r *Result6) DistancesPredicted() int { return r.inner.DistancesPredicted }
-
-// RetransmittedProbes returns how many probes the loss-tolerance retries
-// re-issued (0 unless PreprobeRetries or ForwardRetries were set).
-func (r *Result6) RetransmittedProbes() uint64 { return r.inner.RetransmittedProbes }
-
-// DuplicateResponses returns how many replies the duplicate guard
-// discarded.
-func (r *Result6) DuplicateResponses() uint64 { return r.inner.DuplicateResponses }
-
-// ReadErrors counts receive-path read errors (transport failures distinct
-// from unparseable packets).
-func (r *Result6) ReadErrors() uint64 { return r.inner.ReadErrors }
-
-// SendErrors counts probes abandoned on permanent write failure;
-// SendRetries counts transient-failure retry attempts.
-func (r *Result6) SendErrors() uint64  { return r.inner.SendErrors }
-func (r *Result6) SendRetries() uint64 { return r.inner.SendRetries }
-
-// CheckpointErrors counts snapshots the sink failed to persist.
-func (r *Result6) CheckpointErrors() uint64 { return r.inner.CheckpointErrors }
-
-// Interrupted reports that the scan was cancelled before completion.
-func (r *Result6) Interrupted() bool { return r.inner.Interrupted }
-
-// Route6 is a discovered IPv6 route.
-type Route6 struct {
-	Dst     Addr6
-	Hops    []Hop6
-	Reached bool
-	Length  uint8
-}
-
-// Hop6 is one discovered IPv6 interface on a route.
-type Hop6 struct {
-	TTL  uint8
-	Addr Addr6
-	RTT  time.Duration
-}
-
-// Route returns the route traced to a target, or nil.
-func (r *Result6) Route(a Addr6) *Route6 {
-	rt := r.inner.Route(a)
-	if rt == nil {
-		return nil
-	}
-	out := &Route6{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-	for _, h := range rt.Hops {
-		out.Hops = append(out.Hops, Hop6{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-	}
-	return out
-}
-
-// ForEachRoute visits every route with responses (hop lists populated
-// when Config6.CollectRoutes was set), ordered by destination.
-func (r *Result6) ForEachRoute(fn func(*Route6)) {
-	r.inner.ForEachRoute(func(rt *core6.Route) {
-		out := &Route6{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-		for _, h := range rt.Hops {
-			out.Hops = append(out.Hops, Hop6{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-		}
-		fn(out)
-	})
-}
-
-// WriteJSONL writes collected routes as one JSON object per line (the
-// same deterministic destination-ordered format as Result.WriteJSONL).
-func (r *Result6) WriteJSONL(w interface{ Write([]byte) (int, error) }) error {
-	return r.inner.WriteJSONL(w)
-}
-
-// WriteCSV writes collected routes as CSV rows
-// (destination,ttl,hop,rtt_us,reached — the same deterministic format as
-// Result.WriteCSV).
-func (r *Result6) WriteCSV(w interface{ Write([]byte) (int, error) }) error {
-	return r.inner.WriteCSV(w)
-}
-
-// toCore6 translates the public IPv6 config to the engine's, filling in
-// universe-dependent fields when unset and wiring the per-worker read
-// handles of the conn it returns.
-func (s *Simulation6) toCore6(cfg Config6) (core6.Config, PacketConn) {
-	ic := s.toConfig6(cfg)
+// toCore6 translates the public IPv6 config over a fresh connection,
+// wiring that connection's per-worker read handles.
+func (s *Simulation6) toCore6(cfg Config6) (core.ConfigOf[Addr6], PacketConn) {
+	ec := s.toConfig6(cfg)
 	conn := s.net.NewConn()
-	if cfg.Receivers > 1 {
-		ic.NewReader = func() core6.PacketReader { return conn.NewReader() }
-	}
-	return ic, conn
+	ec.NewReader = readers(cfg.Receivers, conn.NewReader)
+	return ec, conn
 }
 
 // toConfig6 is the transport-independent half of toCore6: the pure
-// config translation, reused by the cluster path where every worker
-// opens its own vantage connection.
-func (s *Simulation6) toConfig6(cfg Config6) core6.Config {
-	ic := core6.DefaultConfig()
-	ic.Targets = cfg.Targets
-	if ic.Targets == nil {
-		ic.Targets = s.topo.Targets()
+// config translation onto the engine's, filling in universe-dependent
+// fields when unset. The cluster path reuses it, every worker opening
+// its own vantage connection.
+func (s *Simulation6) toConfig6(cfg Config6) core.ConfigOf[Addr6] {
+	targets := cfg.Targets
+	if targets == nil {
+		targets = s.topo.Targets()
 	}
-	ic.Source = cfg.Source
-	var zero Addr6
-	if ic.Source == zero {
-		ic.Source = s.topo.Vantage()
+	ec := core6.DefaultConfig(targets)
+	ec.Source = cfg.Source
+	if ec.Source == (Addr6{}) {
+		ec.Source = s.topo.Vantage()
 	}
 	if cfg.SplitTTL != 0 {
-		ic.SplitTTL = cfg.SplitTTL
+		ec.SplitTTL = cfg.SplitTTL
 	}
 	if cfg.GapLimit != 0 {
-		ic.GapLimit = cfg.GapLimit
+		ec.GapLimit = cfg.GapLimit
 	}
 	if cfg.PPS != 0 {
-		ic.PPS = cfg.PPS
+		ec.PPS = cfg.PPS
 	}
-	ic.Senders = cfg.Senders
-	ic.Receivers = cfg.Receivers
-	ic.Batch = cfg.Batch
-	ic.PreprobeRetries = cfg.PreprobeRetries
-	ic.ForwardRetries = cfg.ForwardRetries
-	ic.ForwardTimeout = cfg.ForwardTimeout
-	ic.Preprobe = !cfg.PreprobeOff
-	ic.SamePrefixPrediction = !cfg.NoSamePrefixPrediction
-	ic.NoRedundancyElimination = cfg.NoRedundancyElimination
-	ic.CollectRoutes = cfg.CollectRoutes
-	ic.Observer = cfg.Observer
-	ic.Seed = cfg.Seed
-	if ic.Seed == 0 {
-		ic.Seed = s.seed
+	ec.Senders = cfg.Senders
+	ec.Receivers = cfg.Receivers
+	ec.Batch = cfg.Batch
+	ec.PreprobeRetries = cfg.PreprobeRetries
+	ec.ForwardRetries = cfg.ForwardRetries
+	ec.ForwardTimeout = cfg.ForwardTimeout
+	if cfg.PreprobeOff {
+		ec.Preprobe = core.PreprobeOff
 	}
-	ic.CheckpointSink = cfg.CheckpointSink
-	ic.CheckpointEvery = cfg.CheckpointEvery
-	ic.CheckpointInterval = cfg.CheckpointInterval
+	if cfg.NoSamePrefixPrediction {
+		ec.Predict = nil
+	}
+	ec.NoRedundancyElimination = cfg.NoRedundancyElimination
+	ec.CollectRoutes = cfg.CollectRoutes
+	ec.Observer = cfg.Observer
+	ec.Seed = cfg.Seed
+	if ec.Seed == 0 {
+		ec.Seed = s.seed
+	}
+	ec.CheckpointSink = cfg.CheckpointSink
+	ec.CheckpointEvery = cfg.CheckpointEvery
+	ec.CheckpointInterval = cfg.CheckpointInterval
 	if cfg.DrainWait != 0 {
-		ic.DrainWait = cfg.DrainWait
+		ec.DrainWait = cfg.DrainWait
 	}
 	if cfg.MinRoundTime != 0 {
-		ic.MinRoundTime = cfg.MinRoundTime
+		ec.MinRoundTime = cfg.MinRoundTime
 	}
-	ic.SendRetries = cfg.SendRetries
-	ic.CancelGrace = cfg.CancelGrace
-	return ic
+	ec.SendRetries = cfg.SendRetries
+	ec.CancelGrace = cfg.CancelGrace
+	return ec
 }
 
 // Scan runs a FlashRoute6 scan against this simulation, filling in
@@ -332,16 +237,7 @@ func (s *Simulation6) Scan(cfg Config6) (*Result6, error) {
 
 // ScanContext is Scan with graceful cancellation (see Scanner.RunContext).
 func (s *Simulation6) ScanContext(ctx context.Context, cfg Config6) (*Result6, error) {
-	ic, conn := s.toCore6(cfg)
-	sc, err := core6.NewScanner(ic, conn, s.clock)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sc.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Result6{inner: res}, nil
+	return waitScan(s.StartScan(ctx, cfg))
 }
 
 // ResumeScan continues a checkpointed IPv6 scan against this simulation
@@ -354,14 +250,5 @@ func (s *Simulation6) ResumeScan(cfg Config6, snapshot []byte) (*Result6, error)
 // Scanner.RunContext): the resumed run can itself be checkpointed and
 // interrupted again.
 func (s *Simulation6) ResumeScanContext(ctx context.Context, cfg Config6, snapshot []byte) (*Result6, error) {
-	ic, conn := s.toCore6(cfg)
-	sc, err := core6.ResumeScanner(ic, conn, s.clock, snapshot)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sc.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Result6{inner: res}, nil
+	return waitScan(s.StartResumeScan(ctx, cfg, snapshot))
 }
