@@ -31,8 +31,7 @@ type ClusterOptions struct {
 	// is migrated from its final checkpoint. Zero disables the watchdog
 	// entirely (the default — with it disabled and no faults injected,
 	// every self-healing path is inert and results are bit-identical to
-	// a supervisor-free scan). When armed, the reported ScanTime may
-	// include up to one trailing watchdog tick on the virtual clock.
+	// a supervisor-free scan).
 	WatchdogTimeout time.Duration
 
 	// MaxMigrations bounds how many times any one shard may be handed

@@ -3,6 +3,7 @@ package flashroute
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -219,6 +220,37 @@ func TestClusterGridInvariant6(t *testing.T) {
 				t.Errorf("seed %d workers %d: %d route interfaces, want %d",
 					seed, workers, len(ifaces), len(wantIfaces))
 			}
+		}
+	}
+}
+
+// TestClusterLockstepDeterministic pins the cluster's determinism on
+// real cores (DESIGN.md §13): the workers of a lockstep scan run in
+// parallel, yet repeated scans must agree on every per-loop count, the
+// stop-set exchange and the scan time — not just on the merged sets.
+// Every loop starts at the scan's first instant, completions are handled
+// at the instant they happen, and the hub hides a publication from
+// drains at its own instant, so none of these depend on scheduling.
+func TestClusterLockstepDeterministic(t *testing.T) {
+	cfg := clusterGridConfig()
+	var want string
+	for run := 0; run < 4; run++ {
+		res, err := clusterGridSim(5).ScanCluster(cfg, ClusterOptions{Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("probes=%d published=%d received=%d scan=%v",
+			res.Probes(), res.StopPublished(), res.StopReceived(), res.ScanTime())
+		for _, w := range res.Workers() {
+			got += fmt.Sprintf(" | shard %d @ %d: %d probes, %d remote",
+				w.Shard, w.Vantage, w.ProbesSent, w.StopReceived)
+		}
+		if run == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("run %d differs:\n got %s\nwant %s", run, got, want)
 		}
 	}
 }

@@ -63,10 +63,7 @@ type Options struct {
 	// of clock time is declared failed and its shard migrated to a peer
 	// vantage, exactly as if KillWorker had been called. 0 (the default)
 	// disables the watchdog entirely — no extra clock actor exists and a
-	// fault-free run is bit-identical to the unsupervised engine. With
-	// the watchdog armed on a virtual clock, ScanTime may include up to
-	// one trailing watchdog tick (the watchdog's park deadline is the
-	// only one left once the engines exit).
+	// fault-free run is bit-identical to the unsupervised engine.
 	WatchdogTimeout time.Duration
 
 	// MaxMigrations bounds how many times one shard may migrate before
@@ -175,8 +172,9 @@ type Result[A comparable] struct {
 	SendErrors          uint64
 	ScanTime            time.Duration
 
-	// Workers has one entry per worker loop in completion order (a
-	// migrated shard contributes one entry per attempt).
+	// Workers has one entry per worker loop in completion order, loops
+	// finishing at the same instant by shard (a migrated shard
+	// contributes one entry per attempt).
 	Workers []WorkerStats
 	// Migrations counts shard handoffs (KillWorker → peer resume).
 	Migrations int
@@ -208,6 +206,7 @@ type workerDone[A comparable] struct {
 	err     error
 	snap    []byte
 	ws      *WorkerSet[A]
+	end     time.Time // clock instant the loop finished at
 }
 
 // migOutcome is one relauncher's report: a migration attempt either
@@ -314,7 +313,7 @@ func Start[A comparable](ctx context.Context, env Env[A], opt Options) (*Run[A],
 		r.maxMigrations = 0
 	}
 	if !opt.Independent {
-		r.hub = NewHub[A]()
+		r.hub = &Hub[A]{clock: env.Clock}
 		if opt.HubFaultHook != nil {
 			r.hub.SetFaultHook(opt.HubFaultHook)
 		}
@@ -322,6 +321,10 @@ func Start[A comparable](ctx context.Context, env Env[A], opt Options) (*Run[A],
 	if len(shards) > 1 {
 		r.pos = positionsOf(env.Fam, env.Base.Blocks, env.Base.Seed)
 	}
+	// Hold the clock while the loops launch: every shard starts probing
+	// at the same instant, however the goroutines are scheduled.
+	env.Clock.AddActor()
+	defer env.Clock.DoneActor()
 	for w := range shards {
 		var err error
 		if snap := opt.ResumeSnapshots[w]; len(snap) > 0 {
@@ -338,8 +341,10 @@ func Start[A comparable](ctx context.Context, env Env[A], opt Options) (*Run[A],
 		}
 		if err != nil {
 			// Abandon loops already launched; they drain into the
-			// buffered events channel and exit.
+			// buffered events channel, where their clock registrations
+			// are released.
 			r.cancelAll()
+			go r.discard(w)
 			return nil, err
 		}
 	}
@@ -465,8 +470,11 @@ func (r *Run[A]) launch(ctx context.Context, shard, vantage int, snap []byte, re
 	}
 	r.mu.Unlock()
 
+	// The loop is a clock actor from here until the coordinator has
+	// handled its completion (see coordinate).
+	r.env.Clock.AddActor()
 	go func() {
-		res, runErr := sc.RunContext(wctx)
+		res, runErr := sc.RunActor(wctx)
 		ws.Flush()
 		// Deregister before cancel(): KillWorker must never observe (and
 		// "kill") a loop that has already finished — a stale cancel is
@@ -480,7 +488,7 @@ func (r *Run[A]) launch(ctx context.Context, shard, vantage int, snap []byte, re
 		snapMu.Lock()
 		final := append([]byte(nil), latest...)
 		snapMu.Unlock()
-		r.events <- workerDone[A]{shard: shard, vantage: vantage,
+		r.events <- workerDone[A]{end: r.env.Clock.Now(), shard: shard, vantage: vantage,
 			resumed: resumed, res: res, err: runErr, snap: final, ws: ws}
 	}()
 	return nil
@@ -535,16 +543,25 @@ func (r *Run[A]) stopWatchdog() {
 // relaunch outcomes, classifies failures (kills, watchdog stalls,
 // transport deaths, failed relaunches), drives the checkpoint-handoff
 // migration path within each shard's budget, and merges when the last
-// loop reports. It runs off-clock: it only ever reacts to events, so it
-// cannot stall virtual time.
+// loop reports. It only ever reacts to events, so it cannot stall
+// virtual time; but every event arrives with its sender's clock
+// registration still held, and coordinate releases it only once the
+// event is handled (after the merge, for the last one). A migrated
+// shard's relaunch, and the scan's end, therefore happen at the instant
+// the failure or completion did, not at whatever instant the clock has
+// reached once this goroutine is scheduled.
 func (r *Run[A]) coordinate(ctx context.Context) {
 	defer close(r.done)
+	defer r.env.Clock.DoneActor() // the last event's registration
 	defer r.stopWatchdog()
 	var order []workerDone[A]
 	complete := make(map[int]bool, len(r.shards))
 	outstanding := len(r.shards)
 	var firstErr error
-	for outstanding > 0 {
+	for held := false; outstanding > 0; held = true {
+		if held {
+			r.env.Clock.DoneActor()
+		}
 		select {
 		case ev := <-r.events:
 			outstanding--
@@ -635,15 +652,12 @@ func (r *Run[A]) tryMigrate(ctx context.Context, shard, from int, snap []byte) b
 	r.attempts[shard] = attempt + 1
 	adopt := r.pickVantage(from)
 	backoff := migrationBackoff(attempt)
+	// The relauncher is a clock actor from here until the coordinator
+	// has handled its outcome: it sleeps the backoff on the shared clock
+	// and launches at a deterministic instant.
+	r.env.Clock.AddActor()
 	go func() {
-		if backoff > 0 {
-			// The backoff sleeps on the shared clock, so it must be a
-			// registered actor for its duration (the coordinator itself
-			// stays off-clock).
-			r.env.Clock.AddActor()
-			r.env.Clock.Sleep(backoff)
-			r.env.Clock.DoneActor()
-		}
+		r.env.Clock.Sleep(backoff)
 		err := r.launch(ctx, shard, adopt, snap, true)
 		r.ctrl <- migOutcome{shard: shard, vantage: adopt, snap: snap, err: err}
 	}()
@@ -684,6 +698,14 @@ func (r *Run[A]) pickVantage(from int) int {
 // merge folds the completed loops into the cluster result.
 func (r *Run[A]) merge(order []workerDone[A], complete map[int]bool) *Result[A] {
 	out := &Result[A]{}
+	// Loops that finish at one instant report in scheduling order; fix
+	// it, since the merge keeps the first RTT in worker order.
+	sort.SliceStable(order, func(i, j int) bool {
+		if !order[i].end.Equal(order[j].end) {
+			return order[i].end.Before(order[j].end)
+		}
+		return order[i].shard < order[j].shard
+	})
 	stores := make([]*trace.StoreOf[A], 0, len(order))
 	for _, ev := range order {
 		res, ws := ev.res, ev.ws
@@ -728,6 +750,15 @@ func (r *Run[A]) merge(order []workerDone[A], complete map[int]bool) *Result[A] 
 	out.Store, out.MultiPaths = mergeStores(r.env.Fam, r.env.Base.CollectRoutes, stores)
 	out.ScanTime = r.env.Clock.Now().Sub(r.start)
 	return out
+}
+
+// discard receives the completions of the first n loops of a run whose
+// start failed and releases their clock registrations.
+func (r *Run[A]) discard(n int) {
+	for i := 0; i < n; i++ {
+		<-r.events
+		r.env.Clock.DoneActor()
+	}
 }
 
 // Wait blocks until the cluster scan completes and returns the merged

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/flashroute/flashroute/internal/core"
+	"github.com/flashroute/flashroute/internal/simclock"
 )
 
 // This file implements the cluster's globally shared stop set: the
@@ -28,13 +29,22 @@ import (
 //     never removed and never force probing that local knowledge would
 //     have skipped — so a worker's probing decisions are a
 //     deterministic function of its own replies plus the prefix of the
-//     merge log it has observed.
+//     merge log it has observed;
+//   - on a clocked hub, an entry published at instant t becomes visible
+//     only to drains at later instants. Workers publishing at the same
+//     virtual instant run in parallel, so whether one's drain sees
+//     another's publication of that instant is a race; excluding the
+//     current instant makes the observed prefix a function of virtual
+//     time alone. (The clock only advances once every actor is parked,
+//     so every entry of an earlier instant is already in the log.)
 
 // hubEntry is one published discovery: the address plus the worker that
-// published it, so subscribers can skip their own entries on drain.
+// published it, so subscribers can skip their own entries on drain, and
+// the instant it was published at (zero on an unclocked hub).
 type hubEntry[A comparable] struct {
 	worker int
 	addr   A
+	at     int64
 }
 
 // Hub is the coordinator's stop-set exchange: an append-only log of
@@ -44,6 +54,10 @@ type hubEntry[A comparable] struct {
 type Hub[A comparable] struct {
 	mu  sync.Mutex
 	log []hubEntry[A]
+
+	// clock, when set, stamps each publication; drains adopt only
+	// entries stamped before their own instant (see the file comment).
+	clock simclock.Clock
 
 	// faultHook, when set, is consulted before every publish and drain
 	// (ops "publish" and "drain") on behalf of the calling worker; a
@@ -60,8 +74,17 @@ type Hub[A comparable] struct {
 	gen atomic.Uint64
 }
 
-// NewHub creates an empty exchange.
+// NewHub creates an empty exchange whose entries are visible as soon as
+// they are published.
 func NewHub[A comparable]() *Hub[A] { return &Hub[A]{} }
+
+// now is the stamp of a publication or drain made now (h.mu held).
+func (h *Hub[A]) now() int64 {
+	if h.clock == nil {
+		return 0
+	}
+	return h.clock.Now().UnixNano()
+}
 
 // SetFaultHook installs the publish/drain fault injector. Call before
 // the scan starts (it is read under the hub mutex thereafter).
@@ -85,8 +108,9 @@ func (h *Hub[A]) publish(w int, addrs []A) error {
 			return err
 		}
 	}
+	at := h.now()
 	for _, a := range addrs {
-		h.log = append(h.log, hubEntry[A]{worker: w, addr: a})
+		h.log = append(h.log, hubEntry[A]{worker: w, addr: a, at: at})
 	}
 	n := uint64(len(h.log))
 	h.mu.Unlock()
@@ -203,17 +227,23 @@ func (w *WorkerSet[A]) drain() error {
 			return err
 		}
 	}
-	tail := h.log[w.cursor:]
-	w.cursor = len(h.log)
-	gen := uint64(len(h.log))
-	for _, e := range tail {
+	end := len(h.log)
+	if h.clock != nil {
+		// Stamps never decrease along the log: stop at this instant's.
+		now := h.now()
+		for end > w.cursor && h.log[end-1].at >= now {
+			end--
+		}
+	}
+	for _, e := range h.log[w.cursor:end] {
 		if e.worker != w.worker {
 			w.remote[e.addr] = struct{}{}
 			w.received++
 		}
 	}
+	w.cursor = end
 	h.mu.Unlock()
-	w.drained.Store(gen)
+	w.drained.Store(uint64(end))
 	w.remMu.Unlock()
 	return nil
 }

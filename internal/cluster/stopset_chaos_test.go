@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/flashroute/flashroute/internal/core"
+	"github.com/flashroute/flashroute/internal/simclock"
 )
 
 // newTestWorkerSet builds a worker view with a tiny publish batch so
@@ -177,5 +179,41 @@ func TestWorkerSetDegradedEpisodesCount(t *testing.T) {
 		if w0.Degraded() {
 			t.Fatalf("cycle %d: not recovered", cycle)
 		}
+	}
+}
+
+// TestHubHidesSameInstant pins the clocked hub's visibility rule: a drain
+// adopts only entries published before its own instant, so workers
+// running in parallel at one virtual instant never race on each other's
+// publications of that instant.
+func TestHubHidesSameInstant(t *testing.T) {
+	clock := simclock.NewVirtual(time.Unix(0, 0))
+	clock.AddActor()
+	defer clock.DoneActor()
+	hub := &Hub[uint32]{clock: clock}
+	pub := newTestWorkerSet(hub, 0, 1)
+	sub := newTestWorkerSet(hub, 1, 1)
+
+	pub.Add(7)
+	if sub.Has(7) {
+		t.Fatal("entry visible at the instant it was published")
+	}
+	clock.Sleep(time.Millisecond)
+	pub.Add(8)
+	if !sub.Has(7) {
+		t.Fatal("entry of an earlier instant not adopted")
+	}
+	if sub.Has(8) {
+		t.Fatal("entry visible at the instant it was published")
+	}
+	clock.Sleep(time.Millisecond)
+	if !sub.Has(8) {
+		t.Fatal("entry of an earlier instant not adopted")
+	}
+	if got := sub.Received(); got != 2 {
+		t.Fatalf("Received = %d, want 2", got)
+	}
+	if got := hub.Published(); got != 2 {
+		t.Fatalf("Published = %d, want 2", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/flashroute/flashroute/internal/netsim"
 	"github.com/flashroute/flashroute/internal/simclock"
+	"github.com/flashroute/flashroute/internal/simnet"
 )
 
 // Batched data-path tests: Config.Batch > 1 must change how many packets
@@ -93,7 +94,7 @@ func TestBatchImpairmentDeterminism(t *testing.T) {
 		ReorderWindow: 40 * time.Millisecond,
 		ExtraJitter:   10 * time.Millisecond,
 	}
-	run := func(batch int) (*Result, *netsim.Stats) {
+	run := func(batch int) (*Result, *simnet.Stats) {
 		e := newEnv(t, 1024, 7)
 		e.topo.P.Impair = im
 		e.cfg.PreprobeRetries = 1

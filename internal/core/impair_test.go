@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/flashroute/flashroute/internal/netsim"
+	"github.com/flashroute/flashroute/internal/simnet"
 	"github.com/flashroute/flashroute/internal/trace"
 )
 
@@ -110,7 +111,7 @@ func TestImpairmentDeterminism(t *testing.T) {
 		ReorderWindow: 40 * time.Millisecond,
 		ExtraJitter:   10 * time.Millisecond,
 	}
-	run := func() (*Result, *netsim.Stats) {
+	run := func() (*Result, *simnet.Stats) {
 		e := newEnv(t, 1024, 7)
 		e.topo.P.Impair = im
 		e.cfg.PreprobeRetries = 1

@@ -182,6 +182,12 @@ type ScannerOf[A comparable] struct {
 	// until every shard has reported in.
 	phaseParker *simclock.Parker
 	phaseDone   atomic.Int32
+
+	// adopted marks a RunActor scan: the calling goroutine arrives
+	// registered on the clock and leaves still registered. recvParker is
+	// where its sender waits for the receivers to exit.
+	adopted    bool
+	recvParker *simclock.Parker
 }
 
 // Scanner is the IPv4 scanner.
@@ -312,6 +318,7 @@ func NewScannerOf[A comparable](fam Family[A], cfg ConfigOf[A], conn PacketConn,
 		splits:      make([]uint8, cfg.Blocks),
 		stopSet:     stopSet,
 		phaseParker: clock.NewParker(),
+		recvParker:  clock.NewParker(),
 	}
 	if cfg.CheckpointSink != nil {
 		s.ckpt = &ckptState{
@@ -542,6 +549,19 @@ func (s *ScannerOf[A]) Run() (*ResultOf[A], error) {
 	return s.RunContext(context.Background())
 }
 
+// RunActor is RunContext for a caller that is already a registered actor
+// on the scanner's clock (AddActor before its goroutine started). The scan
+// adopts that registration for its sender instead of taking a new one,
+// and returns with it still held; the caller releases it with DoneActor.
+// On the virtual clock no time can then pass between the caller's launch
+// and the scan's first step, nor between its last reply and whatever the
+// caller does with the result — how a supervisor starts and retires
+// several scanners at deterministic instants of one shared clock.
+func (s *ScannerOf[A]) RunActor(ctx context.Context) (*ResultOf[A], error) {
+	s.adopted = true
+	return s.RunContext(ctx)
+}
+
 // canceled reports whether the scan has been cancelled. The first
 // observation of a cancelled context latches, so later checks cost one
 // atomic load.
@@ -585,33 +605,40 @@ func (s *ScannerOf[A]) RunContext(ctx context.Context) (*ResultOf[A], error) {
 
 	// Register the sender (this goroutine) before the receiver can start:
 	// a receiver that parks while it is the only registered actor would
-	// look like a deadlock to the virtual clock.
-	s.clock.AddActor()
+	// look like a deadlock to the virtual clock. A RunActor caller is
+	// registered already.
+	if !s.adopted {
+		s.clock.AddActor()
+	}
 
 	// Receiver side (decoupled from sending, §3.2). One receiver runs the
 	// classic inline loop; Receivers > 1 runs the sharded receive pipeline
-	// of receive.go, one clock-registered goroutine per worker.
+	// of receive.go, one clock-registered goroutine per worker. The last
+	// receiver to exit closes recvDone and unparks the sender before it
+	// leaves the clock, so no instant passes in between.
 	recvDone := make(chan struct{})
+	var recvLeft atomic.Int32
+	recvExit := func() {
+		if recvLeft.Add(-1) == 0 {
+			close(recvDone)
+			s.clock.Unpark(s.recvParker)
+		}
+		s.clock.DoneActor()
+	}
 	if len(s.recvWorkers) > 0 {
-		var wg sync.WaitGroup
+		recvLeft.Store(int32(len(s.recvWorkers)))
 		for _, w := range s.recvWorkers {
 			s.clock.AddActor()
-			wg.Add(1)
 			go func(w *recvWorkerOf[A]) {
-				defer wg.Done()
-				defer s.clock.DoneActor()
+				defer recvExit()
 				w.loop()
 			}(w)
 		}
-		go func() {
-			wg.Wait()
-			close(recvDone)
-		}()
 	} else {
+		recvLeft.Store(1)
 		s.clock.AddActor()
 		go func() {
-			defer close(recvDone)
-			defer s.clock.DoneActor()
+			defer recvExit()
 			s.receiveLoop()
 		}()
 	}
@@ -694,8 +721,16 @@ func (s *ScannerOf[A]) RunContext(ctx context.Context) (*ResultOf[A], error) {
 	// Close the conn first so the receivers (possibly parked waiting for
 	// packets) wake to their EOF before the sender leaves the clock.
 	s.conn.Close()
-	s.clock.DoneActor()
-	<-recvDone
+	if s.adopted {
+		// Keep the caller's registration: wait parked, so the clock can
+		// still advance for the receivers' final deliveries.
+		for recvLeft.Load() > 0 {
+			s.clock.Park(s.recvParker, time.Time{})
+		}
+	} else {
+		s.clock.DoneActor()
+		<-recvDone
+	}
 	if s.striped != nil {
 		// Union is a read view over the stripes: routes stay in place and
 		// emit k-way merges them, so result construction no longer builds

@@ -7,6 +7,7 @@ import (
 
 	"github.com/flashroute/flashroute/internal/netsim6"
 	"github.com/flashroute/flashroute/internal/probe6"
+	"github.com/flashroute/flashroute/internal/simnet"
 )
 
 // newLockstepEnv6 builds an IPv6 environment whose response behavior is a
@@ -51,7 +52,7 @@ func TestImpairmentDeterminism6(t *testing.T) {
 		ReorderWindow: 40 * time.Millisecond,
 		ExtraJitter:   10 * time.Millisecond,
 	}
-	run := func() (result, *netsim6.Stats) {
+	run := func() (result, *simnet.Stats) {
 		e := newEnv(t, 256, 8, 7)
 		e.topo.P.Impair = im
 		e.cfg.PreprobeRetries = 1

@@ -138,7 +138,7 @@ func TestRateLimitRecoversNextSecond(t *testing.T) {
 	for sec := 0; sec < 5; sec++ {
 		allowed := 0
 		for i := 0; i < 10; i++ {
-			if n.allowICMP(addr, time.Duration(sec)*time.Second+time.Millisecond) {
+			if n.AllowICMP(addr, time.Duration(sec)*time.Second+time.Millisecond) {
 				allowed++
 			}
 		}

@@ -1,10 +1,6 @@
 package netsim
 
 import (
-	"errors"
-	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/flashroute/flashroute/internal/probe"
@@ -12,84 +8,44 @@ import (
 	"github.com/flashroute/flashroute/internal/simnet"
 )
 
-// ErrClosed is returned by writes on a closed Conn.
-var ErrClosed = errors.New("netsim: connection closed")
-
-// Stats counts what the network saw. All fields are updated atomically and
-// may be read during a scan.
-type Stats struct {
-	ProbesSent     atomic.Uint64 // packets written
-	RateLimited    atomic.Uint64 // ICMP responses suppressed by rate limits
-	SilentHops     atomic.Uint64 // probes expiring at persistently silent routers
-	NoRoute        atomic.Uint64 // probes falling off route ends
-	DestSilent     atomic.Uint64 // probes reaching hosts that don't answer this type
-	MalformedSends atomic.Uint64 // unparseable probe packets
-
-	// Responses plus the impairment-layer counters, promoted from the
-	// shared substrate (all impairment counters zero on a perfect
-	// network).
-	simnet.DeliveryStats
-}
-
-// Net binds a Topology to a clock and delivers packets with modeled RTTs,
-// per-interface ICMP rate limiting, and all middlebox behaviours.
+// Net binds a Topology to a clock: the shared simulated link
+// (simnet.Link) carrying IPv4 probes with modeled RTTs, per-interface
+// ICMP rate limiting, impairments, and all middlebox behaviours.
 type Net struct {
-	topo  *Topology
-	clock simclock.Waiter
-	epoch time.Time
-
-	Stats Stats
-
-	// Rate-limit buckets, sharded so concurrent senders do not contend on
-	// one global mutex for every probe.
-	buckets *simnet.Buckets[uint32]
+	*simnet.Link[uint32, reply]
+	topo *Topology
 }
 
-// bucketShardOf spreads addresses over the shards. Responder populations
-// are biased in their low octet (gateways at .1, appliances at .1), so
-// fold all four octets in rather than masking the low byte.
-func bucketShardOf(addr uint32) uint32 {
-	return addr ^ addr>>8 ^ addr>>16 ^ addr>>24
-}
+// Conn is a raw-socket-like connection from the vantage point into the
+// simulated network (see simnet.Conn).
+type Conn = simnet.Conn[uint32, reply]
+
+// Reader is a per-receiver read handle on a Conn (see simnet.Reader).
+type Reader = simnet.Reader[uint32, reply]
 
 // New creates a network over the topology, driven by the given clock. The
 // clock's current time becomes the network epoch (time zero for route
-// dynamics and rate-limit windows).
+// dynamics and rate-limit windows). Connections are sourced at the
+// topology's vantage point; NewVantageConn(v) routes a connection's
+// probes over a private ingress link whose first hop is IngressIface(v)
+// (Topology.ResolveFrom), keeping the source address — and so the 5-tuple
+// per-flow balancers hash — identical across vantages.
 func New(topo *Topology, clock simclock.Waiter) *Net {
+	p := &topo.P
 	return &Net{
-		topo:    topo,
-		clock:   clock,
-		epoch:   clock.Now(),
-		buckets: simnet.NewBuckets[uint32](bucketShardOf),
+		Link: simnet.NewLink[uint32, reply](clock, wire{topo}, bucketShardOf, p.Seed, &p.ICMPRateLimitPPS, &p.Impair),
+		topo: topo,
 	}
 }
 
 // Topo returns the underlying topology.
 func (n *Net) Topo() *Topology { return n.topo }
 
-// Clock returns the clock driving this network.
-func (n *Net) Clock() simclock.Waiter { return n.clock }
-
-// Elapsed returns time since the network epoch.
-func (n *Net) Elapsed() time.Duration { return n.clock.Now().Sub(n.epoch) }
-
-// allowICMP consumes one unit of the interface's ICMP budget for the
-// current one-second window and reports whether the response may be sent
-// (fixed-window limit of ICMPRateLimitPPS per interface, per [19]).
-func (n *Net) allowICMP(addr uint32, now time.Duration) bool {
-	return n.buckets.Allow(addr, n.topo.P.ICMPRateLimitPPS, now)
-}
-
-// rtt models the round-trip time to a responder at the given depth, with
-// per-(probe,instant) jitter.
-func (n *Net) rtt(dst uint32, depth uint8, now time.Duration) time.Duration {
-	p := &n.topo.P
-	j := time.Duration(0)
-	if p.JitterRTT > 0 {
-		h := n.topo.hash64(uint64(dst), uint64(depth), uint64(now))
-		j = time.Duration(h % uint64(p.JitterRTT))
-	}
-	return p.BaseRTT + time.Duration(depth)*p.PerHopRTT + j
+// bucketShardOf spreads addresses over the shards. Responder populations
+// are biased in their low octet (gateways at .1, appliances at .1), so
+// fold all four octets in rather than masking the low byte.
+func bucketShardOf(addr uint32) uint32 {
+	return addr ^ addr>>8 ^ addr>>16 ^ addr>>24
 }
 
 // response kinds on the wire.
@@ -100,211 +56,94 @@ const (
 	respEchoReply
 )
 
-// respPayload is a scheduled response, materialized into bytes at read
-// time (identical bytes, no per-probe allocation while in flight). Its
-// delivery time and ordering sequence live in the inbox item wrapping it.
-type respPayload struct {
+// reply is a scheduled response, materialized into bytes at read time
+// (identical bytes, no per-probe allocation while in flight).
+type reply struct {
 	kind      uint8
 	hop       uint32
 	quote     probe.IPv4
 	transport [8]byte
 }
 
-// Conn is a raw-socket-like connection from the vantage point into the
-// simulated network. One goroutine may write while another reads — the
-// decoupled sender/receiver design of the paper (§3.2).
-type Conn struct {
-	net *Net
-	src uint32
-	// vantage selects the ingress path probes take into the topology
-	// (Topology.ResolveFrom): 0 is the classic vantage point, higher
-	// values are cluster workers with a private first hop. The source
-	// address stays the vantage point's for every value — replies route
-	// back by connection, and keeping the 5-tuple identical keeps
-	// per-flow load-balancer decisions invariant across vantages.
-	vantage int
-	imp     *simnet.ImpairState // nil unless Params.Impair is enabled
-	inbox   *simnet.Inbox[respPayload]
+// wire is the IPv4 half of the link: probe decoding, resolution against
+// the topology, and reply rendering.
+type wire struct{ topo *Topology }
 
-	// Batch-path scratch, reused across calls so the steady state stays
-	// allocation-free. wrMu serializes WriteBatch callers (several sender
-	// shards may batch-write the same Conn; single-packet writers never
-	// take it); rdScratch belongs to the Conn-level reader, of which the
-	// contract allows exactly one.
-	wrMu      sync.Mutex
-	wrStage   []simnet.Pending[respPayload]
-	rdScratch []respPayload
+// rtt models the round-trip time to a responder at the given depth, with
+// per-(probe,instant) jitter.
+func (w wire) rtt(dst uint32, depth uint8, now time.Duration) time.Duration {
+	p := &w.topo.P
+	j := time.Duration(0)
+	if p.JitterRTT > 0 {
+		h := w.topo.hash64(uint64(dst), uint64(depth), uint64(now))
+		j = time.Duration(h % uint64(p.JitterRTT))
+	}
+	return p.BaseRTT + time.Duration(depth)*p.PerHopRTT + j
 }
 
-// NewConn opens a connection sourced at the vantage point.
-func (n *Net) NewConn() *Conn {
-	return n.NewVantageConn(0)
-}
-
-// NewVantageConn opens a connection entering the topology at vantage v:
-// v == 0 is NewConn exactly; v > 0 routes the connection's probes over a
-// private ingress link whose first hop is IngressIface(v). One Net
-// supports any number of concurrently probing connections (stats are
-// atomic, rate-limit buckets sharded, inboxes per connection).
-func (n *Net) NewVantageConn(v int) *Conn {
-	c := &Conn{
-		net:     n,
-		src:     n.topo.Vantage(),
-		vantage: v,
-		inbox:   simnet.NewInbox[respPayload](n.clock, n.epoch),
-	}
-	if n.topo.P.Impair.Enabled() {
-		c.imp = simnet.NewImpairState(n.topo.P.Seed)
-	}
-	return c
-}
-
-// WritePacket injects one serialized IPv4 probe packet into the network.
-// The write itself never blocks; the response (if any) is scheduled for
-// delivery after the modeled RTT.
-func (c *Conn) WritePacket(pkt []byte) error {
-	return c.write1(pkt, c.net.Elapsed(), nil)
-}
-
-// WriteBatch injects pkts in order (sendmmsg shape). It returns the
-// number of packets consumed; a non-nil error with n < len(pkts) means
-// pkts[n] failed — per-packet fault semantics, exactly as the equivalent
-// WritePacket would have failed — and packets after it were not
-// attempted. All responses elicited by the batch are committed to the
-// inbox under a single lock with a single reader wakeup; per-packet
-// impairment and fault draws happen in write order, so a batched write
-// sequence consumes the RNG identically to the unbatched one.
-func (c *Conn) WriteBatch(pkts [][]byte) (int, error) {
-	n := c.net
-	c.wrMu.Lock()
-	defer c.wrMu.Unlock()
-	// One clock read covers the whole batch: on the virtual clock no time
-	// can pass while the writer runs, and fault windows — the only
-	// behavior where sub-batch timing matters — re-read the clock below.
-	now := n.Elapsed()
-	faults := n.topo.P.Impair.HasFaults()
-	c.wrStage = c.wrStage[:0]
-	for i, pkt := range pkts {
-		pktNow := now
-		if faults {
-			pktNow = n.Elapsed() // a window edge may split the batch on a real clock
-		}
-		if err := c.write1(pkt, pktNow, &c.wrStage); err != nil {
-			if !simnet.ScheduleAllResponses(c.inbox, &n.Stats.DeliveryStats, c.wrStage) {
-				return i, ErrClosed
-			}
-			return i, err
-		}
-	}
-	if !simnet.ScheduleAllResponses(c.inbox, &n.Stats.DeliveryStats, c.wrStage) {
-		return len(pkts), ErrClosed
-	}
-	return len(pkts), nil
-}
-
-// write1 is the full per-packet write path at instant now. Responses are
-// delivered straight to the inbox (stage nil, the WritePacket path) or
-// appended to *stage for one batched commit.
-func (c *Conn) write1(pkt []byte, now time.Duration, stage *[]simnet.Pending[respPayload]) error {
-	n := c.net
-
-	// Transport-fault windows: a faulted write fails before the probe
-	// enters the network at all — not counted as sent, no impairment
-	// draws consumed, so zero-fault runs are bit-identical.
-	if im := &n.topo.P.Impair; im.HasFaults() && im.WriteFault(now, c.vantage) {
-		n.Stats.WriteFaults.Add(1)
-		return &simnet.TransientError{Op: "write"}
-	}
-
-	n.Stats.ProbesSent.Add(1)
-
+// Probe decodes one serialized IPv4 probe and resolves what it meets.
+func (w wire) Probe(pkt []byte, vantage int, now time.Duration) (simnet.Fate[uint32, reply], error) {
+	var f simnet.Fate[uint32, reply]
 	var hdr probe.IPv4
 	if err := hdr.Unmarshal(pkt); err != nil || len(pkt) < probe.IPv4HeaderLen+8 {
-		n.Stats.MalformedSends.Add(1)
 		if err == nil {
 			err = probe.ErrTruncated
 		}
-		return err
+		return f, err
 	}
 	if int(hdr.TotalLength) > probe.MTU {
-		n.Stats.MalformedSends.Add(1)
-		return probe.ErrMessageTooLong
+		return f, probe.ErrMessageTooLong
 	}
 	if hdr.TTL == 0 {
-		return nil // dies immediately, no response from ourselves
-	}
-
-	// Outbound impairments: a lost probe never reaches a hop (no resolve,
-	// no rate-limit debit); a duplicated probe traverses the network twice.
-	copies := 1
-	if c.imp != nil {
-		copies = c.imp.ProbeFate(&n.topo.P.Impair)
-		if copies == 0 {
-			n.Stats.ProbesLost.Add(1)
-			return nil
-		}
-		if copies == 2 {
-			n.Stats.Duplicates.Add(1)
-		}
+		f.Outcome = simnet.FateExpired // dies immediately, no response from ourselves
+		return f, nil
 	}
 
 	var transport [8]byte
 	copy(transport[:], pkt[probe.IPv4HeaderLen:probe.IPv4HeaderLen+8])
-	srcPort := uint16(transport[0])<<8 | uint16(transport[1])
-	dstPort := uint16(transport[2])<<8 | uint16(transport[3])
 
 	// ICMP echo requests (the census hitlist's probe type, §5.1): answered
 	// by ping-responsive entities, subject to the same ICMP rate limits.
 	if hdr.Protocol == probe.ProtoICMP {
-		if transport[0] != probe.ICMPTypeEchoRequest {
-			n.Stats.MalformedSends.Add(1)
-			return nil
-		}
-		if !n.topo.PingResponsive(hdr.Dst) {
-			n.Stats.DestSilent.Add(uint64(copies))
-			return nil
-		}
-		depth := n.topo.DistanceNow(hdr.Dst, now)
-		if depth == 0 {
-			depth = 16 // infra or unrouted responders: nominal RTT depth
-		}
-		resp := respPayload{
-			kind:      respEchoReply,
-			hop:       hdr.Dst,
-			transport: transport,
-		}
-		at := now + n.rtt(hdr.Dst, depth, now)
-		for i := 0; i < copies; i++ {
-			if !n.allowICMP(hdr.Dst, now) {
-				n.Stats.RateLimited.Add(1)
-				continue
+		switch {
+		case transport[0] != probe.ICMPTypeEchoRequest:
+			f.Outcome = simnet.FateMalformed
+		case !w.topo.PingResponsive(hdr.Dst):
+			f.Outcome = simnet.FateDestSilent
+		default:
+			depth := w.topo.DistanceNow(hdr.Dst, now)
+			if depth == 0 {
+				depth = 16 // infra or unrouted responders: nominal RTT depth
 			}
-			if err := c.deliver(resp, at, stage); err != nil {
-				return err
-			}
+			f.Responder, f.ICMP = hdr.Dst, true
+			f.RTT = w.rtt(hdr.Dst, depth, now)
+			f.Reply = reply{kind: respEchoReply, hop: hdr.Dst, transport: transport}
 		}
-		return nil
+		return f, nil
 	}
+
+	srcPort := uint16(transport[0])<<8 | uint16(transport[1])
+	dstPort := uint16(transport[2])<<8 | uint16(transport[3])
 	flow := flowHash(hdr.Src, hdr.Dst, srcPort, dstPort, hdr.Protocol)
-	hop := n.topo.ResolveFrom(c.vantage, hdr.Dst, hdr.TTL, flow, now, hdr.Protocol)
+	hop := w.topo.ResolveFrom(vantage, hdr.Dst, hdr.TTL, flow, now, hdr.Protocol)
 
 	var kind uint8
 	switch hop.Kind {
 	case HopNone:
-		n.Stats.NoRoute.Add(uint64(copies))
-		return nil
+		f.Outcome = simnet.FateNoRoute
+		return f, nil
 	case HopSilentRouter:
-		n.Stats.SilentHops.Add(uint64(copies))
-		return nil
+		f.Outcome = simnet.FateSilentHop
+		return f, nil
 	case HopDestSilent:
-		n.Stats.DestSilent.Add(uint64(copies))
-		return nil
+		f.Outcome = simnet.FateDestSilent
+		return f, nil
 	case HopRouter:
 		kind = respICMPTimeExceeded
 	case HopDestUDP:
 		kind = respICMPPortUnreach
 	case HopDestTCP:
-		kind = respTCPRST
+		kind = respTCPRST // not ICMP, so not throttled by the ICMP budget
 	}
 
 	// The quoted header is the probe's header as the responder saw it:
@@ -313,143 +152,14 @@ func (c *Conn) write1(pkt []byte, now time.Duration, stage *[]simnet.Pending[res
 	quote.TTL = hop.Residual
 	quote.Dst = hop.QuotedDst
 
-	resp := respPayload{
-		kind:      kind,
-		hop:       hop.Addr,
-		quote:     quote,
-		transport: transport,
-	}
-	at := now + n.rtt(hdr.Dst, hop.Depth, now)
-
-	for i := 0; i < copies; i++ {
-		// ICMP rate limiting at the responder (TCP RSTs are not ICMP and
-		// are not throttled by it; each duplicate debits the budget).
-		if kind != respTCPRST && !n.allowICMP(hop.Addr, now) {
-			n.Stats.RateLimited.Add(1)
-			continue
-		}
-		if err := c.deliver(resp, at, stage); err != nil {
-			return err
-		}
-	}
-	return nil
+	f.Responder, f.ICMP = hop.Addr, kind != respTCPRST
+	f.RTT = w.rtt(hdr.Dst, hop.Depth, now)
+	f.Reply = reply{kind: kind, hop: hop.Addr, quote: quote, transport: transport}
+	return f, nil
 }
 
-// deliver schedules one emitted response for delivery to the inbox,
-// applying inbound impairments (loss, duplication, reordering, extra
-// jitter) when enabled. With impairments off it is exactly the
-// pre-impairment scheduling path. With stage non-nil the surviving
-// response is appended there instead — same fault and impairment draws,
-// commit deferred to the caller's ScheduleAllResponses.
-func (c *Conn) deliver(resp respPayload, at time.Duration, stage *[]simnet.Pending[respPayload]) error {
-	if im := &c.net.topo.P.Impair; im.HasFaults() {
-		adj, dropped := im.DeliveryFault(at, c.vantage)
-		if dropped {
-			c.net.Stats.FaultDropped.Add(1)
-			return nil
-		}
-		if adj != at {
-			c.net.Stats.FaultStalled.Add(1)
-			at = adj
-		}
-	}
-	if stage != nil {
-		if p, ok := simnet.StageResponse(c.imp, &c.net.topo.P.Impair,
-			&c.net.Stats.DeliveryStats, resp, at); ok {
-			*stage = append(*stage, p)
-		}
-		return nil
-	}
-	if !simnet.ScheduleResponse(c.inbox, c.imp, &c.net.topo.P.Impair,
-		&c.net.Stats.DeliveryStats, resp, at) {
-		return ErrClosed
-	}
-	return nil
-}
-
-// ReadPacket blocks until a response is deliverable, materializes it into
-// buf, and returns its length. It returns io.EOF once the connection is
-// closed and drained.
-func (c *Conn) ReadPacket(buf []byte) (int, error) {
-	resp, ok := c.inbox.Next()
-	if !ok {
-		return 0, io.EOF
-	}
-	return c.materialize(buf, &resp), nil
-}
-
-// ReadBatch is the batch form of ReadPacket (recvmmsg shape): it blocks
-// until a response is deliverable, then fills bufs[i]/sizes[i] with every
-// response already deliverable at that instant — in the exact (delivery
-// time, sequence) order consecutive ReadPacket calls would observe — up
-// to len(bufs). It returns (0, io.EOF) once the connection is closed and
-// drained. Like ReadPacket, at most one goroutine may use it.
-func (c *Conn) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
-	if len(c.rdScratch) < len(bufs) {
-		c.rdScratch = make([]respPayload, len(bufs))
-	}
-	k, ok := c.inbox.NextBatch(c.rdScratch[:len(bufs)])
-	if !ok {
-		return 0, io.EOF
-	}
-	for i := 0; i < k; i++ {
-		sizes[i] = c.materialize(bufs[i], &c.rdScratch[i])
-	}
-	return k, nil
-}
-
-// Reader is a per-receiver read handle on the Conn: each receive worker of
-// a sharded receive pipeline holds its own Reader so R workers can block
-// on (and drain) the same inbox concurrently under the virtual clock.
-type Reader struct {
-	c       *Conn
-	rd      *simnet.Reader[respPayload]
-	scratch []respPayload // ReadBatch staging, owned by this handle's worker
-}
-
-// NewReader opens a read handle. The plain Conn.ReadPacket and any number
-// of Readers may be used on the same Conn, though engines use one or the
-// other.
-func (c *Conn) NewReader() *Reader {
-	return &Reader{c: c, rd: c.inbox.NewReader()}
-}
-
-// ReadPacket is Conn.ReadPacket on this handle, with one addition: it
-// returns (0, nil) when the wait was interrupted by Wake before a response
-// became deliverable, so the caller can service out-of-band work.
-func (r *Reader) ReadPacket(buf []byte) (int, error) {
-	resp, ok, eof := r.rd.Next()
-	if eof {
-		return 0, io.EOF
-	}
-	if !ok {
-		return 0, nil
-	}
-	return r.c.materialize(buf, &resp), nil
-}
-
-// ReadBatch is Conn.ReadBatch on this handle, with the Reader extension:
-// it returns (0, nil) when the wait was interrupted by Wake before any
-// response became deliverable.
-func (r *Reader) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
-	if len(r.scratch) < len(bufs) {
-		r.scratch = make([]respPayload, len(bufs))
-	}
-	k, eof := r.rd.NextBatch(r.scratch[:len(bufs)])
-	if eof {
-		return 0, io.EOF
-	}
-	for i := 0; i < k; i++ {
-		sizes[i] = r.c.materialize(bufs[i], &r.scratch[i])
-	}
-	return k, nil
-}
-
-// Wake interrupts this handle's blocked (or next) ReadPacket.
-func (r *Reader) Wake() { r.rd.Wake() }
-
-// materialize renders a pending response into wire bytes in buf.
-func (c *Conn) materialize(buf []byte, r *respPayload) int {
+// Materialize renders a scheduled response into wire bytes in buf.
+func (w wire) Materialize(buf []byte, r reply) int {
 	switch r.kind {
 	case respEchoReply:
 		total := probe.IPv4HeaderLen + probe.EchoLen
@@ -458,7 +168,7 @@ func (c *Conn) materialize(buf []byte, r *respPayload) int {
 			TTL:         64,
 			Protocol:    probe.ProtoICMP,
 			Src:         r.hop,
-			Dst:         c.src,
+			Dst:         w.topo.vantage,
 		}
 		outer.Marshal(buf)
 		b := buf[probe.IPv4HeaderLen:]
@@ -476,7 +186,7 @@ func (c *Conn) materialize(buf []byte, r *respPayload) int {
 			TTL:         64,
 			Protocol:    probe.ProtoTCP,
 			Src:         r.hop,
-			Dst:         c.src,
+			Dst:         w.topo.vantage,
 		}
 		outer.Marshal(buf)
 		var pt probe.TCP
@@ -504,27 +214,16 @@ func (c *Conn) materialize(buf []byte, r *respPayload) int {
 			TTL:         64,
 			Protocol:    probe.ProtoICMP,
 			Src:         r.hop,
-			Dst:         c.src,
+			Dst:         w.topo.vantage,
 		}
 		outer.Marshal(buf)
-		q := r.quote
-		probe.MarshalICMPError(buf[probe.IPv4HeaderLen:], icmpType, icmpCode, &q, r.transport[:])
+		probe.MarshalICMPError(buf[probe.IPv4HeaderLen:], icmpType, icmpCode, &r.quote, r.transport[:])
 		return total
 	}
 }
 
 // MaxResponseLen is the largest packet ReadPacket can produce.
 const MaxResponseLen = probe.IPv4HeaderLen + probe.ICMPErrorLen
-
-// Close closes the connection; pending deliverable responses may still be
-// read, after which ReadPacket returns io.EOF.
-func (c *Conn) Close() error {
-	c.inbox.Close()
-	return nil
-}
-
-// Pending returns the number of scheduled, not yet read responses.
-func (c *Conn) Pending() int { return c.inbox.Len() }
 
 // flowHash derives the load-balancer flow identifier from the 5-tuple
 // (FNV-1a over the tuple bytes), as a per-flow balancer would.

@@ -414,7 +414,7 @@ func TestRateLimiting(t *testing.T) {
 	addr := topo.core[0]
 	allowed := 0
 	for i := 0; i < 25; i++ {
-		if n.allowICMP(addr, now) {
+		if n.AllowICMP(addr, now) {
 			allowed++
 		}
 	}
@@ -422,7 +422,7 @@ func TestRateLimiting(t *testing.T) {
 		t.Fatalf("allowed=%d want 10", allowed)
 	}
 	// New second: budget refreshes.
-	if !n.allowICMP(addr, now+time.Second) {
+	if !n.AllowICMP(addr, now+time.Second) {
 		t.Fatal("budget should refresh next second")
 	}
 }

@@ -11,11 +11,7 @@ package netsim6
 
 import (
 	"encoding/binary"
-	"errors"
-	"io"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/flashroute/flashroute/internal/probe6"
@@ -353,33 +349,32 @@ func (t *Topology) routerHop(a probe6.Addr, hopLimit uint8) Hop {
 
 // ---- packet-level network ----
 
-// ErrClosed is returned by writes on a closed Conn.
-var ErrClosed = errors.New("netsim6: connection closed")
-
-// Stats counts network-side events.
-type Stats struct {
-	ProbesSent  atomic.Uint64
-	RateLimited atomic.Uint64
-	Silent      atomic.Uint64
-	NoRoute     atomic.Uint64
-
-	// Responses plus the impairment-layer counters, promoted from the
-	// shared substrate.
-	simnet.DeliveryStats
-}
-
-// Net binds the topology to a clock.
+// Net binds the topology to a clock: the shared simulated link
+// (simnet.Link) carrying IPv6 probes and ICMPv6 replies.
 type Net struct {
-	topo  *Topology
-	clock simclock.Waiter
-	epoch time.Time
-
-	Stats Stats
-
-	// Rate-limit buckets, sharded so concurrent senders do not contend
-	// on one global mutex for every probe.
-	buckets *simnet.Buckets[probe6.Addr]
+	*simnet.Link[probe6.Addr, reply]
+	topo *Topology
 }
+
+// Conn is the raw IPv6 connection (see simnet.Conn).
+type Conn = simnet.Conn[probe6.Addr, reply]
+
+// Reader is a per-receiver read handle on a Conn (see simnet.Reader).
+type Reader = simnet.Reader[probe6.Addr, reply]
+
+// New creates an IPv6 network on the clock. NewVantageConn(v) routes a
+// connection's probes over vantage v's private ingress link
+// (Topology.ResolveFrom); the source address stays the vantage point's.
+func New(topo *Topology, clock simclock.Waiter) *Net {
+	p := &topo.P
+	return &Net{
+		Link: simnet.NewLink[probe6.Addr, reply](clock, wire{topo}, bucketShardOf, p.Seed, &p.ICMPRateLimitPPS, &p.Impair),
+		topo: topo,
+	}
+}
+
+// Topo returns the topology.
+func (n *Net) Topo() *Topology { return n.topo }
 
 // bucketShardOf folds all address bytes: IPv6 responder populations are
 // biased in their interface identifier, so no single byte spreads well.
@@ -391,27 +386,20 @@ func bucketShardOf(a probe6.Addr) uint32 {
 	return h
 }
 
-// New creates an IPv6 network on the clock.
-func New(topo *Topology, clock simclock.Waiter) *Net {
-	return &Net{topo: topo, clock: clock, epoch: clock.Now(),
-		buckets: simnet.NewBuckets[probe6.Addr](bucketShardOf)}
+// reply is a scheduled response, materialized into bytes at read time.
+type reply struct {
+	unreach   bool
+	hop       probe6.Addr
+	quote     probe6.Header
+	transport [8]byte
 }
 
-// Topo returns the topology.
-func (n *Net) Topo() *Topology { return n.topo }
+// wire is the IPv6 half of the link: probe decoding, resolution against
+// the topology, and reply rendering.
+type wire struct{ topo *Topology }
 
-// Clock returns the clock driving this network.
-func (n *Net) Clock() simclock.Waiter { return n.clock }
-
-// Elapsed returns time since the network epoch.
-func (n *Net) Elapsed() time.Duration { return n.clock.Now().Sub(n.epoch) }
-
-func (n *Net) allowICMP(a probe6.Addr, now time.Duration) bool {
-	return n.buckets.Allow(a, n.topo.P.ICMPRateLimitPPS, now)
-}
-
-func (n *Net) rtt(depth uint8, h uint64) time.Duration {
-	p := &n.topo.P
+func (w wire) rtt(depth uint8, h uint64) time.Duration {
+	p := &w.topo.P
 	j := time.Duration(0)
 	if p.JitterRTT > 0 {
 		j = time.Duration(h % uint64(p.JitterRTT))
@@ -419,296 +407,61 @@ func (n *Net) rtt(depth uint8, h uint64) time.Duration {
 	return p.BaseRTT + time.Duration(depth)*p.PerHopRTT + j
 }
 
-// respPayload is a scheduled response, materialized into bytes at read
-// time. Its delivery time and ordering sequence live in the inbox item
-// wrapping it — the same allocation-free value-typed fast path as the
-// IPv4 simulator.
-type respPayload struct {
-	unreach   bool
-	hop       probe6.Addr
-	quote     probe6.Header
-	transport [8]byte
-}
-
-// Conn is the raw IPv6 connection.
-type Conn struct {
-	net *Net
-	// vantage selects the ingress path probes take into the topology
-	// (Topology.ResolveFrom); 0 is the classic vantage point. Replies
-	// route back by connection, and the source address stays the vantage
-	// point's for every value.
-	vantage int
-	imp     *simnet.ImpairState // nil unless Params.Impair is enabled
-	inbox   *simnet.Inbox[respPayload]
-
-	// Batch-path scratch, reused across calls so the steady state stays
-	// allocation-free. wrMu serializes WriteBatch callers (several sender
-	// shards may batch-write the same Conn); rdScratch belongs to the
-	// Conn-level reader, of which the contract allows exactly one.
-	wrMu      sync.Mutex
-	wrStage   []simnet.Pending[respPayload]
-	rdScratch []respPayload
-}
-
-// NewConn opens a connection from the vantage point.
-func (n *Net) NewConn() *Conn {
-	return n.NewVantageConn(0)
-}
-
-// NewVantageConn opens a connection entering the topology at vantage v
-// (v == 0 is NewConn exactly; see the IPv4 simulator's NewVantageConn).
-func (n *Net) NewVantageConn(v int) *Conn {
-	c := &Conn{net: n, vantage: v, inbox: simnet.NewInbox[respPayload](n.clock, n.epoch)}
-	if n.topo.P.Impair.Enabled() {
-		c.imp = simnet.NewImpairState(n.topo.P.Seed)
-	}
-	return c
-}
-
-// MaxResponseLen is the largest response ReadPacket produces.
-const MaxResponseLen = probe6.HeaderLen + probe6.ICMPErrorLen
-
-// WritePacket injects a serialized IPv6 probe.
-func (c *Conn) WritePacket(pkt []byte) error {
-	return c.write1(pkt, c.net.Elapsed(), nil)
-}
-
-// WriteBatch injects pkts in order (sendmmsg shape). It returns the
-// number of packets consumed; a non-nil error with n < len(pkts) means
-// pkts[n] failed and packets after it were not attempted. Responses
-// elicited by the batch are committed to the inbox under one lock with
-// one reader wakeup, with per-packet impairment and fault draws in write
-// order — the RNG stream is identical to the unbatched path's.
-func (c *Conn) WriteBatch(pkts [][]byte) (int, error) {
-	n := c.net
-	c.wrMu.Lock()
-	defer c.wrMu.Unlock()
-	// One clock read covers the whole batch: on the virtual clock no time
-	// can pass while the writer runs; fault windows re-read below.
-	now := n.Elapsed()
-	faults := n.topo.P.Impair.HasFaults()
-	c.wrStage = c.wrStage[:0]
-	for i, pkt := range pkts {
-		pktNow := now
-		if faults {
-			pktNow = n.Elapsed() // a window edge may split the batch on a real clock
-		}
-		if err := c.write1(pkt, pktNow, &c.wrStage); err != nil {
-			if !simnet.ScheduleAllResponses(c.inbox, &n.Stats.DeliveryStats, c.wrStage) {
-				return i, ErrClosed
-			}
-			return i, err
-		}
-	}
-	if !simnet.ScheduleAllResponses(c.inbox, &n.Stats.DeliveryStats, c.wrStage) {
-		return len(pkts), ErrClosed
-	}
-	return len(pkts), nil
-}
-
-// write1 is the full per-packet write path at instant now. Responses are
-// delivered straight to the inbox (stage nil) or appended to *stage for
-// one batched commit.
-func (c *Conn) write1(pkt []byte, now time.Duration, stage *[]simnet.Pending[respPayload]) error {
-	n := c.net
-
-	// Transport-fault windows: a faulted write fails before the probe
-	// enters the network at all — not counted as sent, no impairment
-	// draws consumed, so zero-fault runs are bit-identical.
-	if im := &n.topo.P.Impair; im.HasFaults() && im.WriteFault(now, c.vantage) {
-		n.Stats.WriteFaults.Add(1)
-		return &simnet.TransientError{Op: "write"}
-	}
-
-	n.Stats.ProbesSent.Add(1)
+// Probe decodes one serialized IPv6 probe and resolves what it meets.
+func (w wire) Probe(pkt []byte, vantage int, now time.Duration) (simnet.Fate[probe6.Addr, reply], error) {
+	var f simnet.Fate[probe6.Addr, reply]
 	var hdr probe6.Header
 	if err := hdr.Unmarshal(pkt); err != nil || len(pkt) < probe6.HeaderLen+8 {
 		if err == nil {
 			err = probe6.ErrTruncated
 		}
-		return err
+		return f, err
 	}
 	if hdr.HopLimit == 0 {
-		return nil
+		f.Outcome = simnet.FateExpired
+		return f, nil
 	}
-
-	// Outbound impairments: a lost probe never reaches a hop (no resolve,
-	// no rate-limit debit); a duplicated probe traverses the network twice.
-	copies := 1
-	if c.imp != nil {
-		copies = c.imp.ProbeFate(&n.topo.P.Impair)
-		if copies == 0 {
-			n.Stats.ProbesLost.Add(1)
-			return nil
-		}
-		if copies == 2 {
-			n.Stats.Duplicates.Add(1)
-		}
-	}
-
-	hop := n.topo.ResolveFrom(c.vantage, hdr.Dst, hdr.HopLimit)
+	hop := w.topo.ResolveFrom(vantage, hdr.Dst, hdr.HopLimit)
 	switch hop.Kind {
 	case HopNone:
-		n.Stats.NoRoute.Add(uint64(copies))
-		return nil
-	case HopSilentRouter, HopDestSilent:
-		n.Stats.Silent.Add(uint64(copies))
-		return nil
+		f.Outcome = simnet.FateNoRoute
+		return f, nil
+	case HopSilentRouter:
+		f.Outcome = simnet.FateSilentHop
+		return f, nil
+	case HopDestSilent:
+		f.Outcome = simnet.FateDestSilent
+		return f, nil
 	}
 	var transport [8]byte
 	copy(transport[:], pkt[probe6.HeaderLen:probe6.HeaderLen+8])
 	quote := hdr
 	quote.HopLimit = hop.Residual
 
-	resp := respPayload{
-		unreach:   hop.Kind == HopDest,
-		hop:       hop.Addr,
-		quote:     quote,
-		transport: transport,
-	}
-	at := now + n.rtt(hop.Depth, n.topo.hash(addrWord(hdr.Dst), uint64(hdr.HopLimit), uint64(now)))
-	for i := 0; i < copies; i++ {
-		// Each duplicate debits the responder's ICMP budget separately.
-		if !n.allowICMP(hop.Addr, now) {
-			n.Stats.RateLimited.Add(1)
-			continue
-		}
-		if err := c.deliver(resp, at, stage); err != nil {
-			return err
-		}
-	}
-	return nil
+	f.Responder, f.ICMP = hop.Addr, true
+	f.RTT = w.rtt(hop.Depth, w.topo.hash(addrWord(hdr.Dst), uint64(hdr.HopLimit), uint64(now)))
+	f.Reply = reply{unreach: hop.Kind == HopDest, hop: hop.Addr, quote: quote, transport: transport}
+	return f, nil
 }
 
-// deliver schedules one emitted response for delivery to the inbox,
-// applying inbound impairments when enabled. With impairments off it is
-// exactly the pre-impairment scheduling path. With stage non-nil the
-// surviving response is appended there instead — same fault and
-// impairment draws, commit deferred to the caller.
-func (c *Conn) deliver(resp respPayload, at time.Duration, stage *[]simnet.Pending[respPayload]) error {
-	if im := &c.net.topo.P.Impair; im.HasFaults() {
-		adj, dropped := im.DeliveryFault(at, c.vantage)
-		if dropped {
-			c.net.Stats.FaultDropped.Add(1)
-			return nil
-		}
-		if adj != at {
-			c.net.Stats.FaultStalled.Add(1)
-			at = adj
-		}
-	}
-	if stage != nil {
-		if p, ok := simnet.StageResponse(c.imp, &c.net.topo.P.Impair,
-			&c.net.Stats.DeliveryStats, resp, at); ok {
-			*stage = append(*stage, p)
-		}
-		return nil
-	}
-	if !simnet.ScheduleResponse(c.inbox, c.imp, &c.net.topo.P.Impair,
-		&c.net.Stats.DeliveryStats, resp, at) {
-		return ErrClosed
-	}
-	return nil
-}
-
-// ReadPacket blocks for the next deliverable response.
-func (c *Conn) ReadPacket(buf []byte) (int, error) {
-	p, ok := c.inbox.Next()
-	if !ok {
-		return 0, io.EOF
-	}
-	return c.materialize(buf, &p), nil
-}
-
-// ReadBatch is the batch form of ReadPacket (recvmmsg shape): it blocks
-// until a response is deliverable, then fills bufs[i]/sizes[i] with every
-// response already deliverable at that instant, in ReadPacket order, up
-// to len(bufs). (0, io.EOF) once closed and drained; one reader only.
-func (c *Conn) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
-	if len(c.rdScratch) < len(bufs) {
-		c.rdScratch = make([]respPayload, len(bufs))
-	}
-	k, ok := c.inbox.NextBatch(c.rdScratch[:len(bufs)])
-	if !ok {
-		return 0, io.EOF
-	}
-	for i := 0; i < k; i++ {
-		sizes[i] = c.materialize(bufs[i], &c.rdScratch[i])
-	}
-	return k, nil
-}
-
-// Reader is a per-receiver read handle on the Conn (the IPv6 twin of
-// netsim's): each receive worker of a sharded receive pipeline holds its
-// own Reader so R workers can drain the same inbox concurrently.
-type Reader struct {
-	c       *Conn
-	rd      *simnet.Reader[respPayload]
-	scratch []respPayload // ReadBatch staging, owned by this handle's worker
-}
-
-// NewReader opens a read handle.
-func (c *Conn) NewReader() *Reader {
-	return &Reader{c: c, rd: c.inbox.NewReader()}
-}
-
-// ReadPacket is Conn.ReadPacket on this handle; it returns (0, nil) when
-// the wait was interrupted by Wake before a response became deliverable.
-func (r *Reader) ReadPacket(buf []byte) (int, error) {
-	p, ok, eof := r.rd.Next()
-	if eof {
-		return 0, io.EOF
-	}
-	if !ok {
-		return 0, nil
-	}
-	return r.c.materialize(buf, &p), nil
-}
-
-// ReadBatch is Conn.ReadBatch on this handle, with the Reader extension:
-// it returns (0, nil) when the wait was interrupted by Wake before any
-// response became deliverable.
-func (r *Reader) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
-	if len(r.scratch) < len(bufs) {
-		r.scratch = make([]respPayload, len(bufs))
-	}
-	k, eof := r.rd.NextBatch(r.scratch[:len(bufs)])
-	if eof {
-		return 0, io.EOF
-	}
-	for i := 0; i < k; i++ {
-		sizes[i] = r.c.materialize(bufs[i], &r.scratch[i])
-	}
-	return k, nil
-}
-
-// Wake interrupts this handle's blocked (or next) ReadPacket.
-func (r *Reader) Wake() { r.rd.Wake() }
-
-func (c *Conn) materialize(buf []byte, p *respPayload) int {
+// Materialize renders a scheduled response into wire bytes in buf.
+func (w wire) Materialize(buf []byte, r reply) int {
 	total := probe6.HeaderLen + probe6.ICMPErrorLen
 	outer := probe6.Header{
 		PayloadLength: probe6.ICMPErrorLen,
 		NextHeader:    probe6.ProtoICMPv6,
 		HopLimit:      64,
-		Src:           p.hop,
-		Dst:           c.net.topo.vantage,
+		Src:           r.hop,
+		Dst:           w.topo.vantage,
 	}
 	outer.Marshal(buf)
 	icmpType, code := uint8(probe6.ICMP6TypeTimeExceeded), uint8(probe6.ICMP6CodeHopLimit)
-	if p.unreach {
+	if r.unreach {
 		icmpType, code = probe6.ICMP6TypeDestUnreachable, probe6.ICMP6CodePortUnreachable
 	}
-	q := p.quote
-	probe6.MarshalICMPError(buf[probe6.HeaderLen:], icmpType, code, &q, p.transport[:])
+	probe6.MarshalICMPError(buf[probe6.HeaderLen:], icmpType, code, &r.quote, r.transport[:])
 	return total
 }
 
-// Close closes the connection; buffered responses drain, then EOF.
-func (c *Conn) Close() error {
-	c.inbox.Close()
-	return nil
-}
-
-// Pending returns the number of scheduled, not yet read responses.
-func (c *Conn) Pending() int { return c.inbox.Len() }
+// MaxResponseLen is the largest response ReadPacket produces.
+const MaxResponseLen = probe6.HeaderLen + probe6.ICMPErrorLen

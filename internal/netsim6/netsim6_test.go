@@ -145,14 +145,14 @@ func TestRateLimit6(t *testing.T) {
 	n := New(tp, clock)
 	allowed := 0
 	for i := 0; i < 12; i++ {
-		if n.allowICMP(tp.core[0], 0) {
+		if n.AllowICMP(tp.core[0], 0) {
 			allowed++
 		}
 	}
 	if allowed != 5 {
 		t.Fatalf("allowed=%d want 5", allowed)
 	}
-	if !n.allowICMP(tp.core[0], time.Second) {
+	if !n.AllowICMP(tp.core[0], time.Second) {
 		t.Fatal("budget should refresh")
 	}
 }
@@ -164,5 +164,55 @@ func TestWriteMalformed6(t *testing.T) {
 	conn := n.NewConn()
 	if err := conn.WritePacket([]byte{6 << 4}); err == nil {
 		t.Fatal("short packet accepted")
+	}
+	if got := n.Stats.MalformedSends.Load(); got != 1 {
+		t.Fatalf("MalformedSends = %d, want 1", got)
+	}
+}
+
+// TestConn6Accounting: probes to silent destinations are not silent hops,
+// and over an unimpaired write of every target at hop limits 1..16 each
+// probe is answered, silent at a router, silent at its destination,
+// unrouted or rate-limited — the identity TestConnDecoupledSenderReceiver
+// checks for IPv4.
+func TestConn6Accounting(t *testing.T) {
+	tp := topo(t, 64, 4, 8)
+	n := New(tp, simclock.NewVirtual(time.Unix(0, 0)))
+	conn := n.NewConn()
+	var pkt [128]byte
+	write := func(dst probe6.Addr, hl uint8) {
+		ln := probe6.BuildProbe(pkt[:], tp.Vantage(), dst, hl, true, 0, 0, probe6.TracerouteDstPort)
+		if err := conn.WritePacket(pkt[:ln]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	silent := 0
+	for _, dst := range tp.Targets() {
+		if !tp.HostResponds(dst) {
+			write(dst, 32)
+			silent++
+		}
+	}
+	if silent == 0 {
+		t.Fatal("no silent candidate targets")
+	}
+	if got := n.Stats.SilentHops.Load(); got != 0 {
+		t.Fatalf("SilentHops = %d after probing only silent destinations, want 0", got)
+	}
+
+	for _, dst := range tp.Targets() {
+		for hl := uint8(1); hl <= 16; hl++ {
+			write(dst, hl)
+		}
+	}
+	st := &n.Stats
+	if st.SilentHops.Load() == 0 || st.Responses.Load() == 0 {
+		t.Fatalf("degenerate run: %d silent hops, %d responses", st.SilentHops.Load(), st.Responses.Load())
+	}
+	acc := st.Responses.Load() + st.SilentHops.Load() + st.DestSilent.Load() +
+		st.NoRoute.Load() + st.RateLimited.Load()
+	if sent := st.ProbesSent.Load(); acc != sent {
+		t.Fatalf("accounting mismatch: %d classified vs %d sent", acc, sent)
 	}
 }

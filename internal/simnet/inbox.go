@@ -35,10 +35,10 @@ type Inbox[P any] struct {
 	seq    uint64
 	closed bool
 
-	// readers holds the parkers of all Reader handles (multi-reader mode).
-	// It is an atomic copy-on-write snapshot so the write path can notify
-	// readers without re-taking mu; nil while no Reader exists keeps the
-	// classic single-reader path free of any extra cost.
+	// readers holds the registered parkers (multi-reader mode). It is an
+	// atomic copy-on-write snapshot so the write path can notify readers
+	// without re-taking mu; nil while none is registered keeps the classic
+	// single-reader path free of any extra cost.
 	readers atomic.Pointer[[]*simclock.Parker]
 }
 
@@ -48,29 +48,11 @@ func NewInbox[P any](clock simclock.Waiter, epoch time.Time) *Inbox[P] {
 	return &Inbox[P]{clock: clock, epoch: epoch, parker: clock.NewParker()}
 }
 
-// Schedule pushes copies instances of payload, copy i deliverable at
-// base+extra[i], and wakes the reader. It reports false — scheduling
-// nothing — once the inbox is closed.
-func (in *Inbox[P]) Schedule(payload P, copies int, base time.Duration, extra [2]time.Duration) bool {
-	in.mu.Lock()
-	if in.closed {
-		in.mu.Unlock()
-		return false
-	}
-	for i := 0; i < copies; i++ {
-		in.push(Item[P]{DeliverAt: base + extra[i], Seq: in.seq, Payload: payload})
-		in.seq++
-	}
-	in.mu.Unlock()
-	in.wakeAll()
-	return true
-}
-
-// Pending is one staged response awaiting batch scheduling: the payload
-// with its impairment-resolved copy count and delivery offsets. Staging
-// (StageResponse) and committing (ScheduleAllResponses) split the work of
-// ScheduleResponse so a whole write batch pays for the inbox lock and the
-// reader wakeup once instead of once per response.
+// Pending is one staged response awaiting scheduling: the payload with its
+// impairment-resolved copy count and delivery offsets. Writers stage the
+// responses a packet (or a whole write batch) elicits and commit them
+// with one ScheduleAll, paying for the inbox lock and the reader wakeup
+// once.
 type Pending[P any] struct {
 	Payload P
 	Copies  int
@@ -79,9 +61,10 @@ type Pending[P any] struct {
 }
 
 // ScheduleAll pushes a staged batch under one lock acquisition and wakes
-// the readers once. Sequence numbers are assigned in batch order, exactly
-// as the equivalent sequence of Schedule calls would have. It reports
-// false — scheduling nothing — once the inbox is closed.
+// the readers once; copy c of batch[i] is deliverable at
+// Base+Extra[c]. Sequence numbers are assigned in batch order, so a batch
+// schedules exactly what one ScheduleAll per element would have. It
+// reports false — scheduling nothing — once the inbox is closed.
 func (in *Inbox[P]) ScheduleAll(batch []Pending[P]) bool {
 	if len(batch) == 0 {
 		return true
@@ -103,160 +86,26 @@ func (in *Inbox[P]) ScheduleAll(batch []Pending[P]) bool {
 	return true
 }
 
-// NextBatch blocks like Next until the earliest scheduled item is
-// deliverable, then greedily pops every already-deliverable item (heap
-// order, same as consecutive Next calls at one instant) up to len(out).
-// It returns the count filled, reporting ok=false once the inbox is
-// closed and drained.
-func (in *Inbox[P]) NextBatch(out []P) (int, bool) {
+// take blocks on parker p until the earliest scheduled item is
+// deliverable at the current clock time, then pops every item already
+// deliverable at that instant — (DeliverAt, Seq) order, the order
+// consecutive single pops would see — up to len(out). eof reports the
+// inbox closed and drained (terminal). With interruptible set, an explicit
+// Unpark of p while nothing is deliverable ends the wait with n == 0 and
+// eof false, letting a receive worker service out-of-band work (e.g.
+// replies dispatched to it by a sibling) before reading again; otherwise
+// the wait simply resumes.
+func (in *Inbox[P]) take(p *simclock.Parker, out []P, interruptible bool) (n int, eof bool) {
 	for {
 		in.mu.Lock()
 		now := in.clock.Now().Sub(in.epoch)
-		k := 0
-		for k < len(out) && len(in.heap) > 0 && in.heap[0].DeliverAt <= now {
-			out[k] = in.pop().Payload
-			k++
+		for n < len(out) && len(in.heap) > 0 && in.heap[0].DeliverAt <= now {
+			out[n] = in.pop().Payload
+			n++
 		}
-		if k > 0 {
+		if n > 0 {
 			in.mu.Unlock()
-			return k, true
-		}
-		if in.closed && len(in.heap) == 0 {
-			in.mu.Unlock()
-			return 0, false
-		}
-		var deadline time.Time
-		if len(in.heap) > 0 {
-			deadline = in.epoch.Add(in.heap[0].DeliverAt)
-		}
-		in.mu.Unlock()
-		in.clock.Park(in.parker, deadline)
-	}
-}
-
-// wakeAll unparks the base reader and every Reader handle. An Unpark on a
-// parker nobody is blocked on is retained for its next park, so spurious
-// wakeups are the only cost of over-notifying.
-func (in *Inbox[P]) wakeAll() {
-	in.clock.Unpark(in.parker)
-	if rs := in.readers.Load(); rs != nil {
-		for _, p := range *rs {
-			in.clock.Unpark(p)
-		}
-	}
-}
-
-// Next blocks until the earliest scheduled item is deliverable at the
-// current clock time and returns its payload. It reports false once the
-// inbox is closed and drained.
-func (in *Inbox[P]) Next() (P, bool) {
-	for {
-		in.mu.Lock()
-		now := in.clock.Now().Sub(in.epoch)
-		if len(in.heap) > 0 && in.heap[0].DeliverAt <= now {
-			it := in.pop()
-			in.mu.Unlock()
-			return it.Payload, true
-		}
-		if in.closed && len(in.heap) == 0 {
-			in.mu.Unlock()
-			var zero P
-			return zero, false
-		}
-		var deadline time.Time
-		if len(in.heap) > 0 {
-			deadline = in.epoch.Add(in.heap[0].DeliverAt)
-		}
-		in.mu.Unlock()
-		in.clock.Park(in.parker, deadline)
-	}
-}
-
-// Close stops further scheduling; already scheduled items remain
-// drainable, after which Next reports false.
-func (in *Inbox[P]) Close() {
-	in.mu.Lock()
-	in.closed = true
-	in.mu.Unlock()
-	in.wakeAll()
-}
-
-// Reader is a per-receiver handle onto an Inbox for concurrent draining: R
-// receive workers each hold their own Reader, so each blocks on its own
-// Parker (a Parker must never be shared by two concurrently parked
-// actors). Pops are serialized by the inbox mutex; delivery order across
-// readers follows the (DeliverAt, Seq) heap order of the pops themselves.
-type Reader[P any] struct {
-	in     *Inbox[P]
-	parker *simclock.Parker
-}
-
-// NewReader registers and returns a new read handle. Readers are
-// registered for the life of the inbox; create them before (or while)
-// draining, not per read.
-func (in *Inbox[P]) NewReader() *Reader[P] {
-	r := &Reader[P]{in: in, parker: in.clock.NewParker()}
-	in.mu.Lock()
-	var rs []*simclock.Parker
-	if old := in.readers.Load(); old != nil {
-		rs = append(rs, *old...)
-	}
-	rs = append(rs, r.parker)
-	in.readers.Store(&rs)
-	in.mu.Unlock()
-	return r
-}
-
-// Next returns the next deliverable payload. eof reports the inbox closed
-// and drained (terminal). When an explicit Wake arrives while the reader
-// is parked and nothing is deliverable yet, Next returns ok=false,
-// eof=false — an interrupted wait, letting the caller service out-of-band
-// work (e.g. replies dispatched to it by a sibling worker) before reading
-// again.
-func (r *Reader[P]) Next() (payload P, ok, eof bool) {
-	in := r.in
-	for {
-		in.mu.Lock()
-		now := in.clock.Now().Sub(in.epoch)
-		if len(in.heap) > 0 && in.heap[0].DeliverAt <= now {
-			it := in.pop()
-			in.mu.Unlock()
-			return it.Payload, true, false
-		}
-		if in.closed && len(in.heap) == 0 {
-			in.mu.Unlock()
-			var zero P
-			return zero, false, true
-		}
-		var deadline time.Time
-		if len(in.heap) > 0 {
-			deadline = in.epoch.Add(in.heap[0].DeliverAt)
-		}
-		in.mu.Unlock()
-		if in.clock.Park(r.parker, deadline) {
-			var zero P
-			return zero, false, false // interrupted by an explicit wake
-		}
-	}
-}
-
-// NextBatch is the batch form of Next: it fills out with every
-// already-deliverable payload (up to len(out)) once at least one is
-// deliverable. n == 0 with eof false is an interrupted wait (explicit
-// Wake); eof reports the inbox closed and drained.
-func (r *Reader[P]) NextBatch(out []P) (n int, eof bool) {
-	in := r.in
-	for {
-		in.mu.Lock()
-		now := in.clock.Now().Sub(in.epoch)
-		k := 0
-		for k < len(out) && len(in.heap) > 0 && in.heap[0].DeliverAt <= now {
-			out[k] = in.pop().Payload
-			k++
-		}
-		if k > 0 {
-			in.mu.Unlock()
-			return k, false
+			return n, false
 		}
 		if in.closed && len(in.heap) == 0 {
 			in.mu.Unlock()
@@ -267,15 +116,48 @@ func (r *Reader[P]) NextBatch(out []P) (n int, eof bool) {
 			deadline = in.epoch.Add(in.heap[0].DeliverAt)
 		}
 		in.mu.Unlock()
-		if in.clock.Park(r.parker, deadline) {
-			return 0, false // interrupted by an explicit wake
+		if in.clock.Park(p, deadline) && interruptible {
+			return 0, false
 		}
 	}
 }
 
-// Wake interrupts this reader's blocked (or next) Next call.
-func (r *Reader[P]) Wake() {
-	r.in.clock.Unpark(r.parker)
+// wakeAll unparks the base reader and every registered parker. An Unpark
+// on a parker nobody is blocked on is retained for its next park, so
+// spurious wakeups are the only cost of over-notifying.
+func (in *Inbox[P]) wakeAll() {
+	in.clock.Unpark(in.parker)
+	if rs := in.readers.Load(); rs != nil {
+		for _, p := range *rs {
+			in.clock.Unpark(p)
+		}
+	}
+}
+
+// Close stops further scheduling; already scheduled items remain
+// drainable, after which take reports eof.
+func (in *Inbox[P]) Close() {
+	in.mu.Lock()
+	in.closed = true
+	in.mu.Unlock()
+	in.wakeAll()
+}
+
+// register allocates a parker that every schedule and Close wakes, for one
+// more concurrent reader (a Parker must never be shared by two concurrently
+// parked actors). Parkers stay registered for the life of the inbox:
+// register per reader, not per read.
+func (in *Inbox[P]) register() *simclock.Parker {
+	p := in.clock.NewParker()
+	in.mu.Lock()
+	var rs []*simclock.Parker
+	if old := in.readers.Load(); old != nil {
+		rs = append(rs, *old...)
+	}
+	rs = append(rs, p)
+	in.readers.Store(&rs)
+	in.mu.Unlock()
+	return p
 }
 
 // Len returns the number of scheduled, not yet read items.
@@ -332,76 +214,4 @@ func (in *Inbox[P]) pop() Item[P] {
 	}
 	in.heap = q
 	return top
-}
-
-// ScheduleResponse applies inbound impairments (st nil means none) to one
-// emitted response and schedules the surviving copies into the inbox,
-// accounting each outcome in stats. It reports false only when the inbox
-// is closed; an impairment-dropped response is a successful (true)
-// delivery of nothing.
-func ScheduleResponse[P any](in *Inbox[P], st *ImpairState, im *Impairments, stats *DeliveryStats, payload P, base time.Duration) bool {
-	copies := 1
-	var extra [2]time.Duration
-	if st != nil {
-		var reordered int
-		copies, extra, reordered = st.ResponseFate(im)
-		if copies == 0 {
-			stats.RepliesLost.Add(1)
-			return true
-		}
-		if copies == 2 {
-			stats.Duplicates.Add(1)
-		}
-		if reordered > 0 {
-			stats.Reordered.Add(uint64(reordered))
-		}
-	}
-	if !in.Schedule(payload, copies, base, extra) {
-		return false
-	}
-	stats.Responses.Add(uint64(copies))
-	return true
-}
-
-// StageResponse is the staging half of ScheduleResponse for batched
-// writes: it applies inbound impairments to one emitted response —
-// consuming exactly the RNG draws ScheduleResponse would, in the same
-// order — and returns the surviving Pending for a later ScheduleAll
-// commit. ok=false means the response was lost (accounted, nothing to
-// stage).
-func StageResponse[P any](st *ImpairState, im *Impairments, stats *DeliveryStats, payload P, base time.Duration) (Pending[P], bool) {
-	p := Pending[P]{Payload: payload, Copies: 1, Base: base}
-	if st != nil {
-		var reordered int
-		p.Copies, p.Extra, reordered = st.ResponseFate(im)
-		if p.Copies == 0 {
-			stats.RepliesLost.Add(1)
-			return Pending[P]{}, false
-		}
-		if p.Copies == 2 {
-			stats.Duplicates.Add(1)
-		}
-		if reordered > 0 {
-			stats.Reordered.Add(uint64(reordered))
-		}
-	}
-	return p, true
-}
-
-// ScheduleAllResponses commits a staged batch: one inbox lock, one reader
-// wakeup, and the same Responses accounting the per-response path does.
-// It reports false — scheduling nothing — once the inbox is closed.
-func ScheduleAllResponses[P any](in *Inbox[P], stats *DeliveryStats, batch []Pending[P]) bool {
-	if len(batch) == 0 {
-		return true
-	}
-	if !in.ScheduleAll(batch) {
-		return false
-	}
-	total := 0
-	for i := range batch {
-		total += batch[i].Copies
-	}
-	stats.Responses.Add(uint64(total))
-	return true
 }

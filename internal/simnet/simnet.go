@@ -1,20 +1,21 @@
-// Package simnet is the address-family-independent substrate shared by
-// the IPv4 (netsim) and IPv6 (netsim6) network simulators: the
-// deterministic impairment model, the value-typed delivery inbox, the
-// sharded ICMP rate-limit buckets, and the delivery-side statistics.
+// Package simnet is the address-family-independent simulated link shared
+// by the IPv4 (netsim) and IPv6 (netsim6) network simulators: the
+// connection, its write and read paths (single-packet, batched and
+// per-worker), the deterministic impairment model and fault windows, the
+// value-typed delivery inbox, the sharded ICMP rate-limit buckets, and
+// one set of network statistics.
 //
-// Everything here is generic over the payload or address representation;
-// the family packages supply wire formats, topologies and RTT models and
-// compose these pieces into their Conn types. Keeping the substrate in
-// one place means an impairment or scheduling fix lands once and both
-// families inherit it — the same argument the engine makes for a single
-// generic scanner core.
+// Everything here is generic over the address A and the scheduled-reply
+// payload P; a family supplies only a Wire — decode and resolve one probe,
+// materialize one reply — plus its RTT model and bucket shard function.
+// Keeping the link in one place means a delivery, impairment or
+// scheduling fix lands once and both families inherit it — the same
+// argument the engine makes for a single generic scanner core.
 package simnet
 
 import "sync/atomic"
 
-// DeliveryStats counts delivery-side events common to both simulator
-// families. Family simulators embed it in their Stats structs so the
+// DeliveryStats counts delivery-side events; Stats embeds it so the
 // counters promote to the familiar field names. All fields are updated
 // atomically and may be read during a scan.
 type DeliveryStats struct {

@@ -111,24 +111,25 @@ func TestInboxHeapOrdering(t *testing.T) {
 }
 
 // TestInboxCloseSemantics: scheduling after Close fails, already
-// scheduled items drain, then Next reports done.
+// scheduled items drain, then take reports eof.
 func TestInboxCloseSemantics(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	clock.AddActor()
 	defer clock.DoneActor()
 	in := NewInbox[string](clock, clock.Now())
-	if !in.Schedule("a", 1, 0, [2]time.Duration{}) {
+	if !in.ScheduleAll([]Pending[string]{{Payload: "a", Copies: 1}}) {
 		t.Fatal("schedule on open inbox failed")
 	}
 	in.Close()
-	if in.Schedule("b", 1, 0, [2]time.Duration{}) {
+	if in.ScheduleAll([]Pending[string]{{Payload: "b", Copies: 1}}) {
 		t.Fatal("schedule on closed inbox succeeded")
 	}
-	if p, ok := in.Next(); !ok || p != "a" {
-		t.Fatalf("drain got (%q, %v), want (a, true)", p, ok)
+	out := make([]string, 2)
+	if n, eof := in.take(in.parker, out, false); n != 1 || eof || out[0] != "a" {
+		t.Fatalf("drain got (%d, %q, eof=%v), want (1, a, false)", n, out[0], eof)
 	}
-	if _, ok := in.Next(); ok {
-		t.Fatal("Next after drain should report done")
+	if _, eof := in.take(in.parker, out, false); !eof {
+		t.Fatal("take after drain should report eof")
 	}
 }
 

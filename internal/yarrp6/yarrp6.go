@@ -45,9 +45,8 @@ type Config struct {
 
 	PPS int
 
-	CollectInterfaces bool // kept for symmetry; interfaces always counted
-	Seed              int64
-	DrainWait         time.Duration
+	Seed      int64
+	DrainWait time.Duration
 }
 
 // DefaultConfig returns the Yarrp6 configuration used for comparisons:

@@ -9,6 +9,7 @@ import (
 	"github.com/flashroute/flashroute/internal/hitlist"
 	"github.com/flashroute/flashroute/internal/netsim"
 	"github.com/flashroute/flashroute/internal/simclock"
+	"github.com/flashroute/flashroute/internal/simnet"
 )
 
 // SimConfig parameterizes a simulated Internet (see DESIGN.md for the
@@ -181,12 +182,7 @@ func NewSimulationCIDRs(cfg SimConfig) (*Simulation, error) {
 		cfg.Mutate(&params)
 	}
 	topo := netsim.NewTopology(u, params)
-	var clock simclock.Waiter
-	if cfg.RealTime {
-		clock = simclock.NewReal()
-	} else {
-		clock = simclock.NewVirtual(time.Unix(0, 0))
-	}
+	clock := simClock(cfg.RealTime)
 	return &Simulation{
 		topo:  topo,
 		net:   netsim.New(topo, clock),
@@ -267,30 +263,15 @@ func (s *Simulation) TrueDistance(addr uint32) uint8 {
 }
 
 // Stats reports the network-side counters accumulated so far.
-func (s *Simulation) Stats() SimStats {
-	return SimStats{
-		ProbesSeen:   s.net.Stats.ProbesSent.Load(),
-		Responses:    s.net.Stats.Responses.Load(),
-		RateLimited:  s.net.Stats.RateLimited.Load(),
-		SilentHops:   s.net.Stats.SilentHops.Load(),
-		NoRoute:      s.net.Stats.NoRoute.Load(),
-		ProbesLost:   s.net.Stats.ProbesLost.Load(),
-		RepliesLost:  s.net.Stats.RepliesLost.Load(),
-		Duplicates:   s.net.Stats.Duplicates.Load(),
-		Reordered:    s.net.Stats.Reordered.Load(),
-		WriteFaults:  s.net.Stats.WriteFaults.Load(),
-		FaultDropped: s.net.Stats.FaultDropped.Load(),
-		FaultStalled: s.net.Stats.FaultStalled.Load(),
-	}
-}
+func (s *Simulation) Stats() SimStats { return simStats(&s.net.Stats) }
 
 // SimStats are network-side counters of a simulation. The impairment and
 // fault-window counters stay zero on a perfect network.
 type SimStats struct {
 	ProbesSeen  uint64
 	Responses   uint64
-	RateLimited uint64
-	SilentHops  uint64
+	RateLimited uint64 // replies suppressed by per-interface ICMP budgets
+	SilentHops  uint64 // probes expiring at unanswering routers
 	NoRoute     uint64
 	ProbesLost  uint64
 	RepliesLost uint64
@@ -302,6 +283,33 @@ type SimStats struct {
 	WriteFaults  uint64
 	FaultDropped uint64
 	FaultStalled uint64
+}
+
+// simStats snapshots a simulated link's counters (both families).
+func simStats(st *simnet.Stats) SimStats {
+	return SimStats{
+		ProbesSeen:   st.ProbesSent.Load(),
+		Responses:    st.Responses.Load(),
+		RateLimited:  st.RateLimited.Load(),
+		SilentHops:   st.SilentHops.Load(),
+		NoRoute:      st.NoRoute.Load(),
+		ProbesLost:   st.ProbesLost.Load(),
+		RepliesLost:  st.RepliesLost.Load(),
+		Duplicates:   st.Duplicates.Load(),
+		Reordered:    st.Reordered.Load(),
+		WriteFaults:  st.WriteFaults.Load(),
+		FaultDropped: st.FaultDropped.Load(),
+		FaultStalled: st.FaultStalled.Load(),
+	}
+}
+
+// simClock is a simulation's clock: the wall clock when realTime is set,
+// otherwise virtual time starting at the Unix epoch.
+func simClock(realTime bool) simclock.Waiter {
+	if realTime {
+		return simclock.NewReal()
+	}
+	return simclock.NewVirtual(time.Unix(0, 0))
 }
 
 // Scan runs a FlashRoute scan against this simulation, filling in the

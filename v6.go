@@ -63,12 +63,7 @@ func NewSimulation6(cfg Sim6Config) *Simulation6 {
 		cfg.Mutate(&p)
 	}
 	topo := netsim6.NewTopology(p)
-	var clock simclock.Waiter
-	if cfg.RealTime {
-		clock = simclock.NewReal()
-	} else {
-		clock = simclock.NewVirtual(time.Unix(0, 0))
-	}
+	clock := simClock(cfg.RealTime)
 	return &Simulation6{topo: topo, net: netsim6.New(topo, clock), clock: clock, seed: cfg.Seed}
 }
 
@@ -81,25 +76,9 @@ func (s *Simulation6) Vantage() Addr6 { return s.topo.Vantage() }
 // TrueDistance returns the ground-truth hop distance of a target.
 func (s *Simulation6) TrueDistance(a Addr6) uint8 { return s.topo.DistanceNow(a) }
 
-// Stats reports the network-side counters accumulated so far (same
-// impairment accounting as Simulation.Stats; RateLimited counts
-// per-interface ICMP budget drops, SilentHops unanswering routers).
-func (s *Simulation6) Stats() SimStats {
-	return SimStats{
-		ProbesSeen:   s.net.Stats.ProbesSent.Load(),
-		Responses:    s.net.Stats.Responses.Load(),
-		RateLimited:  s.net.Stats.RateLimited.Load(),
-		SilentHops:   s.net.Stats.Silent.Load(),
-		NoRoute:      s.net.Stats.NoRoute.Load(),
-		ProbesLost:   s.net.Stats.ProbesLost.Load(),
-		RepliesLost:  s.net.Stats.RepliesLost.Load(),
-		Duplicates:   s.net.Stats.Duplicates.Load(),
-		Reordered:    s.net.Stats.Reordered.Load(),
-		WriteFaults:  s.net.Stats.WriteFaults.Load(),
-		FaultDropped: s.net.Stats.FaultDropped.Load(),
-		FaultStalled: s.net.Stats.FaultStalled.Load(),
-	}
-}
+// Stats reports the network-side counters accumulated so far (the same
+// link and accounting as Simulation.Stats).
+func (s *Simulation6) Stats() SimStats { return simStats(&s.net.Stats) }
 
 // Config6 parameterizes a FlashRoute6 scan. Zero TTL/PPS fields mean the
 // defaults (split 16, gap 5, 100 Kpps, preprobing with same-prefix
