@@ -50,9 +50,19 @@ func makeRecvArena(n int) ([][]byte, []int) {
 // flush hook writes the arena out before any pacing sleep, so batch
 // boundaries never distort pacing and no probe waits out a sleep in the
 // arena.
+//
+// The clock is read once per arena, when slot 0 is built: every probe of
+// the arena leaves at the same flush, so they share its send time. On
+// the virtual clock no time passes before that flush (the arena is
+// flushed before every blocking point), so the stamps are exactly the
+// per-probe ones; on the real clock they are early by at most the
+// arena's fill time, far below the probe encoding's 1 ms resolution.
 func (sh *senderShardOf[A]) sendProbeBatched(dst A, ttl uint8, preprobe bool, srcPortOffset uint16) {
 	s := sh.s
-	elapsed := s.clock.Now().Sub(s.start)
+	if sh.nbuf == 0 {
+		sh.stamp = s.clock.Now().Sub(s.start)
+	}
+	elapsed := sh.stamp
 	slot := sh.arena[sh.nbuf*maxProbeBuf : (sh.nbuf+1)*maxProbeBuf]
 	n := s.fam.BuildProbe(slot, s.cfg.Source, dst, ttl, preprobe, elapsed, srcPortOffset)
 	sh.pkts[sh.nbuf] = slot[:n]
@@ -171,13 +181,18 @@ func (sh *senderShardOf[A]) restampSlots(from int) {
 // receiveLoopBatch is the single-receiver loop over a BatchReader:
 // responses arrive into a reused buffer arena up to Config.Batch at a
 // time and are processed in arrival order, preserving the unbatched
-// loop's processReply sequence exactly.
+// loop's processReply sequence exactly. The scan clock is read once per
+// batch, not per response.
 func (s *ScannerOf[A]) receiveLoopBatch(br BatchReader) {
 	bufs, sizes := makeRecvArena(s.cfg.Batch)
 	for {
 		k, err := br.ReadBatch(bufs, sizes)
-		for i := 0; i < k; i++ {
-			s.handleResponse(bufs[i][:sizes[i]])
+		if k > 0 {
+			// The batch was deliverable all at once: one clock read.
+			now := s.clock.Now().Sub(s.start)
+			for i := 0; i < k; i++ {
+				s.handleResponse(bufs[i][:sizes[i]], now)
+			}
 		}
 		if err != nil {
 			if err != io.EOF {

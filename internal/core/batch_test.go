@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -354,5 +355,42 @@ func TestBatchValidation(t *testing.T) {
 	}
 	if res.ProbesSent == 0 || res.Store.Interfaces().Len() == 0 {
 		t.Fatal("fallback scan discovered nothing")
+	}
+}
+
+// countingClock counts the Now calls made on a clock.
+type countingClock struct {
+	simclock.Waiter
+	nows atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.nows.Add(1)
+	return c.Waiter.Now()
+}
+
+// TestBatchClockReadsPerProbe: an unthrottled two-sender batched scan on
+// the real clock reads the scan clock once per arena and once per
+// ReadBatch, not once per probe and once per reply. The network keeps
+// the plain clock, so only the engine's reads are counted.
+func TestBatchClockReadsPerProbe(t *testing.T) {
+	e := newEnvOnRealClock(t, 2048, 3)
+	p := &e.topo.P
+	p.BaseRTT, p.PerHopRTT, p.JitterRTT = 0, 0, 0
+	p.ICMPRateLimitPPS = 0
+	e.cfg.PPS = 0
+	e.cfg.Senders, e.cfg.Batch = 2, 32
+	e.cfg.DrainWait = 10 * time.Millisecond
+	e.cfg.MinRoundTime = time.Millisecond
+	clock := &countingClock{Waiter: e.clock}
+	e.clock = clock
+	res := e.run(t)
+	if res.ProbesSent == 0 {
+		t.Fatal("no probes sent")
+	}
+	perProbe := float64(clock.nows.Load()) / float64(res.ProbesSent)
+	t.Logf("%d Now calls for %d probes (%.3f per probe)", clock.nows.Load(), res.ProbesSent, perProbe)
+	if perProbe >= 0.25 {
+		t.Errorf("%.3f clock reads per probe, want < 0.25", perProbe)
 	}
 }

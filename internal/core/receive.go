@@ -215,8 +215,12 @@ func (w *recvWorkerOf[A]) loop() {
 		if w.batch != nil {
 			var k int
 			k, err = w.batch.ReadBatch(w.bufs, w.sizes)
-			for i := 0; i < k; i++ {
-				w.handlePacket(w.bufs[i][:w.sizes[i]])
+			if k > 0 {
+				// The batch was deliverable all at once: one clock read.
+				now := s.clock.Now().Sub(s.start)
+				for i := 0; i < k; i++ {
+					w.handlePacket(w.bufs[i][:w.sizes[i]], now)
+				}
 			}
 			// k == 0 with a nil err is a wake interrupt (or a polling
 			// transport with nothing ready); the top-of-loop drain picks
@@ -225,7 +229,7 @@ func (w *recvWorkerOf[A]) loop() {
 			var n int
 			n, err = w.reader.ReadPacket(w.buf[:])
 			if n > 0 {
-				w.handlePacket(w.buf[:n])
+				w.handlePacket(w.buf[:n], s.clock.Now().Sub(s.start))
 			}
 		}
 		if err != nil {
@@ -251,12 +255,12 @@ func (w *recvWorkerOf[A]) loop() {
 	w.drain()
 }
 
-// handlePacket parses one raw response and applies block-affinity
-// dispatch: replies for blocks this worker owns are processed inline,
-// the rest are pushed to the owner's ring.
-func (w *recvWorkerOf[A]) handlePacket(pkt []byte) {
+// handlePacket parses one raw response received at scan time now and
+// applies block-affinity dispatch: replies for blocks this worker owns
+// are processed inline, the rest are pushed to the owner's ring.
+func (w *recvWorkerOf[A]) handlePacket(pkt []byte, now time.Duration) {
 	s := w.s
-	if block, r, ok := s.parseResponse(pkt); ok {
+	if block, r, ok := s.parseResponse(pkt, now); ok {
 		if owner := s.recvWorkers[block%len(s.recvWorkers)]; owner != w {
 			owner.ring.push(dispatchedReply[A]{block: block, reply: r})
 			owner.wake()

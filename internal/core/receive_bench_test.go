@@ -69,7 +69,7 @@ func BenchmarkHandleResponse(b *testing.B) {
 				sc.dcbs[j].respSeen = 0
 			}
 		}
-		sc.handleResponse(pkts[k])
+		sc.handleResponse(pkts[k], 0)
 	}
 }
 
@@ -81,14 +81,14 @@ func TestReceiverHandleResponseNoAllocs(t *testing.T) {
 	sc, pkts := benchResponseSet(t, 64)
 	// Warm: populate the store's maps and the stop set.
 	for _, p := range pkts {
-		sc.handleResponse(p)
+		sc.handleResponse(p, 0)
 	}
 	avg := testing.AllocsPerRun(10, func() {
 		for j := range sc.dcbs {
 			sc.dcbs[j].respSeen = 0
 		}
 		for _, p := range pkts {
-			sc.handleResponse(p)
+			sc.handleResponse(p, 0)
 		}
 	})
 	if avg != 0 {

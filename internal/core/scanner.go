@@ -215,12 +215,15 @@ type senderShardOf[A comparable] struct {
 	// see batch.go): built probes accumulate in the preallocated arena —
 	// pkts[i] views slot i, metas[i] remembers how to rebuild it with a
 	// fresh timestamp — and are written Config.Batch at a time, or earlier
-	// at every point the shard would block. All nil/zero when unbatched.
+	// at every point the shard would block. stamp is the send time every
+	// probe of the current arena carries, read when slot 0 was built. All
+	// nil/zero when unbatched.
 	bw      BatchWriter
 	arena   []byte
 	pkts    [][]byte
 	metas   []probeMeta[A]
 	nbuf    int
+	stamp   time.Duration
 	flushFn func() // bound sh.flush, allocated once (paceFlush hook)
 }
 
@@ -1175,23 +1178,24 @@ func (s *ScannerOf[A]) receiveLoop() {
 			}
 			return
 		}
-		s.handleResponse(buf[:n])
+		s.handleResponse(buf[:n], s.clock.Now().Sub(s.start))
 	}
 }
 
-// handleResponse decodes and fully processes one response packet on the
-// calling goroutine (the single-receiver path).
-func (s *ScannerOf[A]) handleResponse(pkt []byte) {
-	if block, r, ok := s.parseResponse(pkt); ok {
+// handleResponse decodes and fully processes one response packet,
+// received at scan time now, on the calling goroutine (the
+// single-receiver path).
+func (s *ScannerOf[A]) handleResponse(pkt []byte, now time.Duration) {
+	if block, r, ok := s.parseResponse(pkt, now); ok {
 		s.processReply(s.store, block, &r)
 	}
 }
 
 // parseResponse runs the parallel-safe front half of response handling:
-// decode the packet, account unparseable and mismatched ones, and map the
-// quoted destination to its block. ok reports whether a reply came out.
-func (s *ScannerOf[A]) parseResponse(pkt []byte) (int, Reply[A], bool) {
-	now := s.clock.Now().Sub(s.start)
+// decode the packet received at scan time now, account unparseable and
+// mismatched ones, and map the quoted destination to its block. ok
+// reports whether a reply came out.
+func (s *ScannerOf[A]) parseResponse(pkt []byte, now time.Duration) (int, Reply[A], bool) {
 	r := s.fam.ParseReply(pkt, uint16(s.scanOffset.Load()), now)
 	switch r.Kind {
 	case ReplyUnparsed:

@@ -3,7 +3,7 @@ package simnet
 import (
 	"errors"
 	"io"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -122,8 +122,10 @@ func (l *Link[A, P]) AllowICMP(addr A, now time.Duration) bool {
 }
 
 // Conn is a raw-socket-like connection from a vantage point into the
-// simulated network. One goroutine may write while another reads — the
-// decoupled sender/receiver design of the paper (§3.2).
+// simulated network. Any number of goroutines may write concurrently —
+// single packets or batches, with no writer lock between them — while
+// another reads: the decoupled sender/receiver design of the paper
+// (§3.2), with each sender shard writing the shared connection.
 type Conn[A comparable, P any] struct {
 	link *Link[A, P]
 	// vantage selects the ingress path probes take into the topology: 0 is
@@ -132,12 +134,6 @@ type Conn[A comparable, P any] struct {
 	vantage int
 	imp     *ImpairState // nil unless impairments are enabled
 	inbox   *Inbox[P]
-
-	// wrMu serializes WriteBatch callers (several sender shards may
-	// batch-write the same Conn; single-packet writers never take it) and
-	// guards wrStage, the batch path's reused staging buffer.
-	wrMu    sync.Mutex
-	wrStage []Pending[P]
 
 	// base is the Conn-level reader, of which the contract allows exactly
 	// one goroutine.
@@ -172,41 +168,55 @@ func (c *Conn[A, P]) WritePacket(pkt []byte) error {
 	return err
 }
 
+// stageBatch is how many packets WriteBatch can always stage before an
+// inbox commit: the engine's default arena size, so a default batch
+// commits once.
+const stageBatch = 32
+
 // WriteBatch injects pkts in order (sendmmsg shape). It returns the
 // number of packets consumed; a non-nil error with n < len(pkts) means
 // pkts[n] failed — per-packet fault semantics, exactly as the equivalent
 // WritePacket would have failed — and packets after it were not
-// attempted. All responses elicited by the batch are committed to the
-// inbox under a single lock with a single reader wakeup; per-packet
-// impairment and fault draws happen in write order, so a batched write
-// sequence consumes the RNG identically to the unbatched one.
-func (c *Conn[A, P]) WriteBatch(pkts [][]byte) (int, error) {
+// attempted. Responses are staged in an array on the caller's stack and
+// committed to the inbox under one lock with one reader wakeup each time
+// the array fills (every stageBatch packets or more) and once at the end.
+// Concurrent callers do not serialize: each resolves its own packets in
+// parallel. Per-packet impairment and fault draws happen in write order
+// within one call, so a batched write sequence consumes the RNG
+// identically to the unbatched one; across concurrent callers they
+// interleave, as concurrent WritePacket draws do.
+//
+// The call ends with a yield, as a real sendmmsg enters the kernel: an
+// unthrottled sender that never blocks would otherwise keep its CPU from
+// the receiver, which then falls behind and lets the inbox grow.
+func (c *Conn[A, P]) WriteBatch(pkts [][]byte) (n int, err error) {
 	l := c.link
-	c.wrMu.Lock()
-	defer c.wrMu.Unlock()
 	// One clock read covers the whole batch: on the virtual clock no time
 	// can pass while the writer runs, and fault windows — the only
 	// behavior where sub-batch timing matters — re-read the clock below.
 	now := l.Elapsed()
 	faults := l.impair.HasFaults()
-	c.wrStage = c.wrStage[:0]
-	for i, pkt := range pkts {
+	var buf [2 * stageBatch]Pending[P] // a probe stages at most two replies
+	stage, open := buf[:0], true
+	for n < len(pkts) {
+		if len(stage) > len(buf)-2 {
+			open = c.commit(stage) && open
+			stage = buf[:0]
+		}
 		pktNow := now
 		if faults {
 			pktNow = l.Elapsed() // a window edge may split the batch on a real clock
 		}
-		var err error
-		if c.wrStage, err = c.write1(pkt, pktNow, c.wrStage); err != nil {
-			if !c.commit(c.wrStage) {
-				return i, ErrClosed
-			}
-			return i, err
+		if stage, err = c.write1(pkts[n], pktNow, stage); err != nil {
+			break
 		}
+		n++
 	}
-	if !c.commit(c.wrStage) {
-		return len(pkts), ErrClosed
+	if !c.commit(stage) || !open {
+		err = ErrClosed
 	}
-	return len(pkts), nil
+	runtime.Gosched()
+	return n, err
 }
 
 // write1 is the full per-packet write path at instant now. It appends the
