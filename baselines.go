@@ -24,7 +24,6 @@ const (
 type YarrpConfig struct {
 	Blocks  int
 	Targets func(block int) uint32
-	BlockOf func(addr uint32) (int, bool)
 	Source  uint32
 
 	ProbeType YarrpProbeType
@@ -79,15 +78,10 @@ func (s *Simulation) RunYarrp(cfg YarrpConfig) (*YarrpResult, error) {
 	if ic.Targets == nil {
 		ic.Targets = s.RandomTargets()
 	}
-	ic.BlockOf = cfg.BlockOf
-	if ic.BlockOf == nil {
-		ic.BlockOf = s.BlockOf
-	}
 	ic.Source = cfg.Source
 	if ic.Source == 0 {
 		ic.Source = s.Vantage()
 	}
-	ic.ProbeType = yarrp.ProbeType(cfg.ProbeType)
 	if cfg.MinTTL != 0 {
 		ic.MinTTL = cfg.MinTTL
 	}
@@ -111,7 +105,7 @@ func (s *Simulation) RunYarrp(cfg YarrpConfig) (*YarrpResult, error) {
 	if ic.Seed == 0 {
 		ic.Seed = s.seed
 	}
-	sc, err := yarrp.NewScanner(ic, s.Conn(), s.clock)
+	sc, err := yarrp.NewScannerOf(yarrp.IPv4(yarrp.ProbeType(cfg.ProbeType)), ic, s.Conn(), s.clock)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -121,6 +122,53 @@ func TestClusterWorker1BitIdentical(t *testing.T) {
 		if !bytes.Equal(bj.Bytes(), cj.Bytes()) {
 			t.Errorf("seed %d: cluster K=1 routes differ from the plain scan", seed)
 		}
+	}
+}
+
+// TestClusterHandleProbesMonotone: the cluster handle counts probes from
+// the engines' live counters plus a total folded in as each loop
+// finishes, with no per-probe callback. Polled throughout a K=3 scan it
+// never goes backwards, and on an undisturbed scan it settles on the
+// merged result's probe count.
+func TestClusterHandleProbesMonotone(t *testing.T) {
+	h, err := clusterGridSim(3).StartClusterScan(context.Background(), clusterGridConfig(),
+		ClusterOptions{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		var last uint64
+		for {
+			n := h.Probes()
+			if n < last {
+				polled <- fmt.Errorf("Probes went backwards: %d after %d", n, last)
+				return
+			}
+			last = n
+			select {
+			case <-stop:
+				polled <- nil
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	res, err := h.Wait()
+	close(stop)
+	if perr := <-polled; perr != nil {
+		t.Fatal(perr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Migrations() != 0 || res.Interrupted() {
+		t.Fatalf("undisturbed scan: %d migrations, interrupted=%v", res.Migrations(), res.Interrupted())
+	}
+	if h.Probes() != res.Probes() {
+		t.Fatalf("handle counted %d probes, merged result has %d", h.Probes(), res.Probes())
 	}
 }
 

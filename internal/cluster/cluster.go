@@ -233,12 +233,12 @@ type Run[A comparable] struct {
 	res    *Result[A]
 	err    error
 
-	probes atomic.Uint64 // live probe counter across all loops
-	obsMu  sync.Mutex    // serializes Base.Observer across loops
+	obsMu sync.Mutex // serializes Base.Observer across loops
 
 	mu         sync.Mutex
 	cancels    map[int]context.CancelFunc // shard -> active loop cancel
 	scanners   map[int]*core.ScannerOf[A] // shard -> active scanner
+	doneProbes uint64                     // probes written by deregistered loops
 	failCause  map[int]FailureCause       // shard -> pending declared failure
 	workerSets []*WorkerSet[A]            // every stop-set view ever created
 	rate       int                        // last SetRate value (rateSet true)
@@ -424,10 +424,8 @@ func (r *Run[A]) launch(ctx context.Context, shard, vantage int, snap []byte, re
 		return nil
 	}
 
-	baseObs := r.env.Base.Observer
-	cfg.Observer = func(dst A, ttl uint8, at time.Duration) {
-		r.probes.Add(1)
-		if baseObs != nil {
+	if baseObs := r.env.Base.Observer; baseObs != nil {
+		cfg.Observer = func(dst A, ttl uint8, at time.Duration) {
 			r.obsMu.Lock()
 			baseObs(dst, ttl, at)
 			r.obsMu.Unlock()
@@ -480,9 +478,14 @@ func (r *Run[A]) launch(ctx context.Context, shard, vantage int, snap []byte, re
 		// "kill") a loop that has already finished — a stale cancel is
 		// harmless, but the kill mark it would leave behind could migrate
 		// a future loop of this shard that was merely cancelled.
+		// Fold the loop's probe count into the finished total in the same
+		// critical section that drops it from the live sum, so Probes
+		// never goes backwards.
 		r.mu.Lock()
 		delete(r.cancels, shard)
 		delete(r.scanners, shard)
+		p, _ := sc.LiveCounters()
+		r.doneProbes += p
 		r.mu.Unlock()
 		cancel()
 		snapMu.Lock()
@@ -768,8 +771,20 @@ func (r *Run[A]) Wait() (*Result[A], error) {
 	return r.res, r.err
 }
 
-// Probes reports the live probe count across all worker loops.
-func (r *Run[A]) Probes() uint64 { return r.probes.Load() }
+// Probes reports the live count of probes written across all worker
+// loops: the finished loops' total plus each active engine's live
+// counter. It is monotone, and after Wait it equals Result.ProbesSent
+// for a run without migrations.
+func (r *Run[A]) Probes() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.doneProbes
+	for _, sc := range r.scanners {
+		p, _ := sc.LiveCounters()
+		n += p
+	}
+	return n
+}
 
 // Migrations reports the live shard-handoff count (post-scan it equals
 // Result.Migrations).

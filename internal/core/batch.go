@@ -80,7 +80,7 @@ func (sh *senderShardOf[A]) sendProbeBatched(dst A, ttl uint8, preprobe bool, sr
 			s.cfg.Observer(dst, ttl, elapsed)
 		}
 	}
-	sh.pacer.paceFlush(sh.flushFn)
+	sh.pacer.PaceFlush(sh.flushFn)
 }
 
 // flush writes every buffered probe out, honoring WriteBatch's

@@ -8,12 +8,15 @@ import (
 	"github.com/flashroute/flashroute/internal/simclock"
 )
 
-// pacedRate issues n pace() calls against p and returns the achieved rate
+// These tests pin the pacing contract every sender shard relies on,
+// against the simclock.Pacer each shard owns.
+
+// pacedRate issues n Pace() calls against p and returns the achieved rate
 // in packets per second of virtual time.
-func pacedRate(v *simclock.Virtual, p *pacer, n int) float64 {
+func pacedRate(v *simclock.Virtual, p *simclock.Pacer, n int) float64 {
 	start := v.Now()
 	for i := 0; i < n; i++ {
-		p.pace()
+		p.Pace()
 	}
 	elapsed := v.Now().Sub(start)
 	if elapsed <= 0 {
@@ -29,7 +32,7 @@ func TestPacerRate(t *testing.T) {
 	for _, pps := range []int{50, 333, 9_999, 50_000, 100_000, 123_456} {
 		v := simclock.NewVirtual(time.Unix(0, 0))
 		v.AddActor()
-		p := newPacer(v, pps)
+		p := simclock.NewPacer(v, pps)
 		rate := pacedRate(v, &p, 2*pps) // two seconds' worth of probes
 		v.DoneActor()
 		if err := math.Abs(rate-float64(pps)) / float64(pps); err > 0.01 {
@@ -53,11 +56,11 @@ func TestPacerAbsorbsOversleep(t *testing.T) {
 	v := simclock.NewVirtual(time.Unix(0, 0))
 	v.AddActor()
 	defer v.DoneActor()
-	p := newPacer(oversleeper{v}, pps)
+	p := simclock.NewPacer(oversleeper{v}, pps)
 	start := v.Now()
 	const probes = 10 * pps
 	for i := 0; i < probes; i++ {
-		p.pace()
+		p.Pace()
 	}
 	rate := float64(probes) / v.Now().Sub(start).Seconds()
 	if err := math.Abs(rate-pps) / pps; err > 0.01 {
@@ -66,26 +69,26 @@ func TestPacerAbsorbsOversleep(t *testing.T) {
 }
 
 // TestPacerResetDropsIdleBudget: idle time (round gaps, drain waits) must
-// not be banked as sending budget; after reset, a second's worth of
+// not be banked as sending budget; after Reset, a second's worth of
 // probes still takes about a second.
 func TestPacerResetDropsIdleBudget(t *testing.T) {
 	const pps = 50_000
 	v := simclock.NewVirtual(time.Unix(0, 0))
 	v.AddActor()
 	defer v.DoneActor()
-	p := newPacer(v, pps)
+	p := simclock.NewPacer(v, pps)
 	// Anchor the pacer with one full batch, then sit out a round gap.
-	for i := 0; i < p.batch; i++ {
-		p.pace()
+	for i := 0; i < pps/200; i++ {
+		p.Pace()
 	}
 	v.Sleep(time.Second)
-	p.reset()
+	p.Reset()
 	start := v.Now()
 	for i := 0; i < pps; i++ {
-		p.pace()
+		p.Pace()
 	}
 	if elapsed := v.Now().Sub(start); elapsed < 990*time.Millisecond {
-		t.Fatalf("1s of probes paced in %v after idle+reset: idle time was repaid as a burst", elapsed)
+		t.Fatalf("1s of probes paced in %v after idle+Reset: idle time was repaid as a burst", elapsed)
 	}
 }
 
@@ -94,10 +97,10 @@ func TestPacerUnthrottled(t *testing.T) {
 	v := simclock.NewVirtual(time.Unix(0, 0))
 	v.AddActor()
 	defer v.DoneActor()
-	p := newPacer(v, 0)
+	p := simclock.NewPacer(v, 0)
 	start := v.Now()
 	for i := 0; i < 100_000; i++ {
-		p.pace()
+		p.Pace()
 	}
 	if elapsed := v.Now().Sub(start); elapsed != 0 {
 		t.Fatalf("unthrottled pacer advanced the clock by %v", elapsed)

@@ -15,15 +15,15 @@ func TestPacerSetRate(t *testing.T) {
 	v := simclock.NewVirtual(time.Unix(0, 0))
 	v.AddActor()
 	defer v.DoneActor()
-	p := newPacer(v, 50_000)
+	p := simclock.NewPacer(v, 50_000)
 	if rate := pacedRate(v, &p, 100_000); math.Abs(rate-50_000)/50_000 > 0.01 {
 		t.Fatalf("before setRate: %.1f pps, want 50000 ±1%%", rate)
 	}
-	p.setRate(5_000)
+	p.SetRate(5_000)
 	if rate := pacedRate(v, &p, 10_000); math.Abs(rate-5_000)/5_000 > 0.01 {
 		t.Errorf("after setRate(5000): %.1f pps, want 5000 ±1%%", rate)
 	}
-	p.setRate(200_000)
+	p.SetRate(200_000)
 	if rate := pacedRate(v, &p, 400_000); math.Abs(rate-200_000)/200_000 > 0.01 {
 		t.Errorf("after setRate(200000): %.1f pps, want 200000 ±1%%", rate)
 	}

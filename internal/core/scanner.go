@@ -207,7 +207,7 @@ type senderShardOf[A comparable] struct {
 	probesSent  uint64
 	retransmits uint64
 	rounds      int
-	pacer       pacer
+	pacer       simclock.Pacer
 	rateSeen    uint32 // last rateGen this shard's pacer was derived from
 	pktBuf      [maxProbeBuf]byte
 
@@ -409,7 +409,7 @@ func (s *ScannerOf[A]) makeShards() {
 			s:        s,
 			idx:      i,
 			order:    s.order[lo:hi],
-			pacer:    newPacer(s.clock, pps),
+			pacer:    simclock.NewPacer(s.clock, pps),
 			rateSeen: s.rateGen.Load(),
 		}
 		if bw != nil {
@@ -475,7 +475,7 @@ func (s *ScannerOf[A]) shardPPS(idx int) int {
 func (sh *senderShardOf[A]) pollRate() {
 	if gen := sh.s.rateGen.Load(); gen != sh.rateSeen {
 		sh.rateSeen = gen
-		sh.pacer.setRate(sh.s.shardPPS(sh.idx))
+		sh.pacer.SetRate(sh.s.shardPPS(sh.idx))
 	}
 }
 
@@ -790,7 +790,7 @@ func (sh *senderShardOf[A]) runPreprobe() {
 		targets = s.cfg.PreprobeTargets
 	}
 	var zero A
-	sh.pacer.reset()
+	sh.pacer.Reset()
 	defer sh.flush() // phase end or cancel: no probe stays buffered
 	for _, b := range sh.order {
 		if s.canceled() {
@@ -814,7 +814,7 @@ func (sh *senderShardOf[A]) runPreprobeRetry() {
 		targets = s.cfg.PreprobeTargets
 	}
 	var zero A
-	sh.pacer.reset()
+	sh.pacer.Reset()
 	defer sh.flush()
 	for _, b := range sh.order {
 		if s.canceled() {
@@ -976,7 +976,7 @@ func (s *ScannerOf[A]) resetForExtraScan(i int) {
 func (sh *senderShardOf[A]) runRounds(srcPortOffset uint16) {
 	s := sh.s
 	l := buildList(s.dcbs, sh.order)
-	sh.pacer.reset()
+	sh.pacer.Reset()
 	defer sh.flush()
 	for l.size > 0 {
 		roundStart := s.clock.Now()
@@ -1057,7 +1057,7 @@ func (sh *senderShardOf[A]) runRounds(srcPortOffset uint16) {
 		if rem := s.cfg.MinRoundTime - s.clock.Now().Sub(roundStart); rem > 0 {
 			sh.flush() // round gap: write out before blocking
 			s.clock.Sleep(rem)
-			sh.pacer.reset()
+			sh.pacer.Reset()
 		}
 	}
 }
@@ -1153,7 +1153,7 @@ func (sh *senderShardOf[A]) sendProbe(dst A, ttl uint8, preprobe bool, srcPortOf
 			s.cfg.Observer(dst, ttl, elapsed)
 		}
 	}
-	sh.pacer.pace()
+	sh.pacer.Pace()
 }
 
 // receiveLoop is the receiving thread of the single-receiver mode (§3.2):

@@ -138,10 +138,10 @@ func TestMakeShardsPartition(t *testing.T) {
 			}
 		}
 		for i, sh := range s.shards {
-			if tc.pps > 0 && sh.pacer.batch == 0 {
+			if tc.pps > 0 && sh.pacer.Rate() == 0 {
 				t.Fatalf("n=%d senders=%d pps=%d: shard %d unthrottled", tc.n, tc.senders, tc.pps, i)
 			}
-			if tc.pps == 0 && sh.pacer.batch != 0 {
+			if tc.pps == 0 && sh.pacer.Rate() != 0 {
 				t.Fatalf("n=%d senders=%d: shard %d throttled despite PPS=0", tc.n, tc.senders, i)
 			}
 		}
@@ -149,9 +149,7 @@ func TestMakeShardsPartition(t *testing.T) {
 			// Aggregate rate: sum of per-shard rates within 1% of PPS.
 			var sum float64
 			for _, sh := range s.shards {
-				if sh.pacer.batch > 0 {
-					sum += float64(sh.pacer.batch) * float64(time.Second) / float64(sh.pacer.interval)
-				}
+				sum += sh.pacer.Rate()
 			}
 			if tc.pps > 0 && (sum < 0.99*float64(tc.pps) || sum > 1.01*float64(tc.pps)) {
 				t.Fatalf("n=%d senders=%d pps=%d: aggregate pacer rate %.1f", tc.n, tc.senders, tc.pps, sum)

@@ -260,7 +260,7 @@ func Table5MaxRate(s *Scenario) (*RateResult, error) {
 		}
 		cfg.PPS = 0
 		cfg.DrainWait = 100 * time.Millisecond
-		sc, err := yarrp.NewScanner(cfg, n.NewConn(), clock)
+		sc, err := yarrp.NewScannerOf(yarrp.IPv4(yarrp.TCPAck), cfg, n.NewConn(), clock)
 		if err != nil {
 			return err
 		}

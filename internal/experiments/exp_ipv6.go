@@ -9,8 +9,9 @@ import (
 	"github.com/flashroute/flashroute/internal/core6"
 	"github.com/flashroute/flashroute/internal/metrics"
 	"github.com/flashroute/flashroute/internal/netsim6"
+	"github.com/flashroute/flashroute/internal/probe6"
 	"github.com/flashroute/flashroute/internal/simclock"
-	"github.com/flashroute/flashroute/internal/yarrp6"
+	"github.com/flashroute/flashroute/internal/yarrp"
 )
 
 // IPv6Result carries the FlashRoute6-vs-Yarrp6 comparison — the IPv6
@@ -85,12 +86,14 @@ func IPv6Comparison(prefixes, perPrefix int, seed int64) (*IPv6Result, error) {
 	out.FlashPredicted = fres.DistancesPredicted
 
 	topoY, netY, clockY := build()
-	ycfg := yarrp6.DefaultConfig()
-	ycfg.Targets = topoY.Targets()
+	targets := topoY.Targets()
+	ycfg := yarrp.DefaultConfig6()
+	ycfg.Blocks = len(targets)
+	ycfg.Targets = func(i int) probe6.Addr { return targets[i] }
 	ycfg.Source = topoY.Vantage()
 	ycfg.Seed = seed
 	ycfg.PPS = pps
-	ysc, err := yarrp6.NewScanner(ycfg, netY.NewConn(), clockY)
+	ysc, err := yarrp.NewScannerOf(yarrp.IPv6(), ycfg, netY.NewConn(), clockY)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +103,7 @@ func IPv6Comparison(prefixes, perPrefix int, seed int64) (*IPv6Result, error) {
 	}
 	out.YarrpProbes = yres.ProbesSent
 	out.YarrpFill = yres.FillProbes
-	out.YarrpInterfaces = yres.InterfaceCount()
+	out.YarrpInterfaces = yres.Store.Interfaces().Len()
 	out.YarrpTime = yres.ScanTime
 	return out, nil
 }

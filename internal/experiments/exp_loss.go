@@ -139,7 +139,7 @@ func (s *Scenario) runFlashImpaired(cfg core.Config, im netsim.Impairments) (*co
 
 func (s *Scenario) runYarrpImpaired(cfg yarrp.Config, im netsim.Impairments) (*yarrp.Result, error) {
 	n, clock := s.NewImpairedNet(im)
-	sc, err := yarrp.NewScanner(cfg, n.NewConn(), clock)
+	sc, err := yarrp.NewScannerOf(yarrp.IPv4(yarrp.TCPAck), cfg, n.NewConn(), clock)
 	if err != nil {
 		return nil, err
 	}

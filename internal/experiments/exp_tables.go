@@ -188,14 +188,13 @@ func (s *Scenario) yarrpConfig() yarrp.Config {
 	cfg.Seed = s.Seed
 	cfg.Source = s.Topo.Vantage()
 	cfg.Targets = s.RandomTargets()
-	cfg.BlockOf = s.BlockOf()
 	cfg.PPS = s.ScaledPPS(PaperPPS)
 	return cfg
 }
 
 func (s *Scenario) runYarrp(cfg yarrp.Config) (*yarrp.Result, error) {
 	n, clock := s.NewNet()
-	sc, err := yarrp.NewScanner(cfg, n.NewConn(), clock)
+	sc, err := yarrp.NewScannerOf(yarrp.IPv4(yarrp.TCPAck), cfg, n.NewConn(), clock)
 	if err != nil {
 		return nil, err
 	}

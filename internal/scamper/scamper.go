@@ -18,19 +18,12 @@ import (
 	"io"
 	"time"
 
+	"github.com/flashroute/flashroute/internal/core"
 	"github.com/flashroute/flashroute/internal/permute"
 	"github.com/flashroute/flashroute/internal/probe"
 	"github.com/flashroute/flashroute/internal/simclock"
 	"github.com/flashroute/flashroute/internal/trace"
 )
-
-// PacketConn is the raw network access (identical shape to the other
-// engines').
-type PacketConn interface {
-	WritePacket(pkt []byte) error
-	ReadPacket(buf []byte) (int, error)
-	Close() error
-}
 
 // Config parameterizes the scan.
 type Config struct {
@@ -103,9 +96,10 @@ type state struct {
 // Scanner runs Scamper-style scans.
 type Scanner struct {
 	cfg   Config
-	conn  PacketConn
+	conn  core.PacketConn
 	clock simclock.Waiter
 	start time.Time
+	pacer simclock.Pacer
 
 	states  []state
 	order   []uint32
@@ -117,12 +111,9 @@ type Scanner struct {
 	// trace, which the per-round application of these updates models.
 	updates chan update
 
-	probesSent   uint64
-	rounds       int
-	paceCount    int
-	paceBatch    int
-	paceInterval time.Duration
-	pktBuf       [128]byte
+	probesSent uint64
+	rounds     int
+	pktBuf     [128]byte
 }
 
 type update struct {
@@ -133,7 +124,7 @@ type update struct {
 }
 
 // NewScanner validates the configuration.
-func NewScanner(cfg Config, conn PacketConn, clock simclock.Waiter) (*Scanner, error) {
+func NewScanner(cfg Config, conn core.PacketConn, clock simclock.Waiter) (*Scanner, error) {
 	if cfg.Blocks <= 0 || cfg.Targets == nil || cfg.BlockOf == nil {
 		return nil, errors.New("scamper: Blocks, Targets and BlockOf are required")
 	}
@@ -149,21 +140,16 @@ func NewScanner(cfg Config, conn PacketConn, clock simclock.Waiter) (*Scanner, e
 	if cfg.DrainWait <= 0 {
 		cfg.DrainWait = 2 * time.Second
 	}
-	s := &Scanner{
+	return &Scanner{
 		cfg:     cfg,
 		conn:    conn,
 		clock:   clock,
+		pacer:   simclock.NewPacer(clock, cfg.PPS),
 		states:  make([]state, cfg.Blocks),
 		stopSet: make(map[uint32]struct{}),
 		store:   trace.NewStore(cfg.CollectRoutes),
 		updates: make(chan update, 65536),
-	}
-	s.paceBatch = cfg.PPS / 200
-	if s.paceBatch < 1 {
-		s.paceBatch = 1
-	}
-	s.paceInterval = time.Duration(int64(time.Second) * int64(s.paceBatch) / int64(cfg.PPS))
-	return s, nil
+	}, nil
 }
 
 // Run executes the scan.
@@ -180,7 +166,7 @@ func (s *Scanner) Run() (*Result, error) {
 		st.dest = s.cfg.Targets(int(b))
 		st.nextBackward = s.cfg.FirstTTL
 		st.nextForward = s.cfg.FirstTTL + 1
-		st.forwardHorizon = min8(s.cfg.FirstTTL+s.cfg.GapLimit, s.cfg.MaxTTL)
+		st.forwardHorizon = min(s.cfg.FirstTTL+s.cfg.GapLimit, s.cfg.MaxTTL)
 		z := h + uint64(b)*0xd6e8feb86659fd93
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		st.stubborn = float64(z>>11)/float64(1<<53) < s.cfg.StubbornFrac
@@ -225,6 +211,8 @@ func (s *Scanner) Run() (*Result, error) {
 		s.rounds++
 		if rem := time.Second - s.clock.Now().Sub(roundStart); rem > 0 {
 			s.clock.Sleep(rem)
+			// The gap is idle time, not sending budget for the next round.
+			s.pacer.Reset()
 		}
 	}
 	s.clock.Sleep(s.cfg.DrainWait)
@@ -257,7 +245,7 @@ func (s *Scanner) applyUpdates() {
 			// the paper configures Scamper with retries restricted so each
 			// hop gets exactly one probe.
 			if u.horizon > st.forwardHorizon && !st.forwardDone && !st.done {
-				st.forwardHorizon = min8(u.horizon, s.cfg.MaxTTL)
+				st.forwardHorizon = min(u.horizon, s.cfg.MaxTTL)
 			}
 		default:
 			return
@@ -274,11 +262,7 @@ func (s *Scanner) sendProbe(dst uint32, ttl uint8) {
 	if s.cfg.Observer != nil {
 		s.cfg.Observer(dst, ttl, elapsed)
 	}
-	s.paceCount++
-	if s.paceCount >= s.paceBatch {
-		s.paceCount = 0
-		s.clock.Sleep(s.paceInterval)
-	}
+	s.pacer.Pace()
 }
 
 // receiveLoop processes responses: it owns the stop set and the store, and
@@ -360,11 +344,4 @@ func (s *Scanner) enqueue(u update) {
 		// Queue full: drop the hint; probing degrades to exhaustive for
 		// this response, never to incorrectness.
 	}
-}
-
-func min8(a, b uint8) uint8 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,30 +1,29 @@
-package core
+package simclock
 
-import (
-	"time"
+import "time"
 
-	"github.com/flashroute/flashroute/internal/simclock"
-)
-
-// pacer throttles one sender to a fixed packet rate. Probes are accounted
+// Pacer throttles one sender to a fixed packet rate. Probes are accounted
 // in batches of a ~5 ms quantum (as in the paper's sender loop); when a
 // batch completes the pacer sleeps until an absolute next-deadline rather
 // than for a fixed interval, so sleep overshoot on the real clock is
 // absorbed by the following batch instead of accumulating as rate drift.
+// On the virtual clock, where a running sender never lets time pass, the
+// deadline sleep equals a fixed per-batch sleep.
 //
-// Each sender shard owns its own pacer: aggregate throughput honors
-// Config.PPS with no shared pacing lock between senders.
-type pacer struct {
-	clock    simclock.Clock
+// A Pacer belongs to one sender goroutine. Every engine paces through it:
+// the FlashRoute engine gives each sender shard its own, so aggregate
+// throughput honors the configured rate with no shared pacing lock.
+type Pacer struct {
+	clock    Clock
 	batch    int           // probes per pacing quantum; 0 = unthrottled
 	interval time.Duration // time budget of one full batch
 	count    int           // probes accounted in the current batch
 	next     time.Time     // absolute deadline of the current batch; zero = unanchored
 }
 
-// newPacer builds a pacer for the given rate; pps <= 0 disables pacing.
-func newPacer(clock simclock.Clock, pps int) pacer {
-	p := pacer{clock: clock}
+// NewPacer builds a pacer for the given rate; pps <= 0 disables pacing.
+func NewPacer(clock Clock, pps int) Pacer {
+	p := Pacer{clock: clock}
 	if pps <= 0 {
 		return p
 	}
@@ -36,32 +35,42 @@ func newPacer(clock simclock.Clock, pps int) pacer {
 	return p
 }
 
-// setRate retargets the pacer to a new rate mid-scan: batch size and
-// interval are recomputed exactly as newPacer would, the in-batch count
+// Rate reports the rate the pacer enforces, in packets per second (0 when
+// unthrottled). Integer batching makes it differ slightly from the pps
+// the pacer was built with.
+func (p *Pacer) Rate() float64 {
+	if p.batch == 0 {
+		return 0
+	}
+	return float64(p.batch) * float64(time.Second) / float64(p.interval)
+}
+
+// SetRate retargets the pacer to a new rate mid-scan: batch size and
+// interval are recomputed exactly as NewPacer would, the in-batch count
 // is cleared and the deadline anchor dropped, so the next batch paces at
 // the new rate with no sending debt (or credit) carried across the
 // change.
-func (p *pacer) setRate(pps int) {
-	*p = newPacer(p.clock, pps)
+func (p *Pacer) SetRate(pps int) {
+	*p = NewPacer(p.clock, pps)
 }
 
-// reset drops the deadline anchor (the in-batch probe count is kept).
-// Called at phase starts and after non-pacing sleeps — round gaps, drain
+// Reset drops the deadline anchor (the in-batch probe count is kept).
+// Call it at phase starts and after non-pacing sleeps — round gaps, drain
 // waits — so idle time is not treated as banked sending budget that would
 // otherwise be repaid as an unpaced burst.
-func (p *pacer) reset() { p.next = time.Time{} }
+func (p *Pacer) Reset() { p.next = time.Time{} }
 
-// pace accounts one sent probe and, when the batch is full, sleeps until
+// Pace accounts one sent probe and, when the batch is full, sleeps until
 // the batch's absolute deadline.
-func (p *pacer) pace() { p.paceFlush(nil) }
+func (p *Pacer) Pace() { p.PaceFlush(nil) }
 
-// paceFlush is pace with a pre-sleep hook: flush (if non-nil) runs after
+// PaceFlush is Pace with a pre-sleep hook: flush (if non-nil) runs after
 // the sleep decision but before the sleep itself, so a batching sender
 // can write out its arena before blocking. The deadline is computed
 // before flush runs and the sleep targets that absolute instant, so time
 // spent flushing is absorbed by the sleep — batch boundaries do not
 // distort pacing.
-func (p *pacer) paceFlush(flush func()) {
+func (p *Pacer) PaceFlush(flush func()) {
 	if p.batch == 0 {
 		return
 	}

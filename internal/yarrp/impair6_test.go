@@ -1,4 +1,4 @@
-package yarrp6
+package yarrp
 
 import (
 	"testing"
@@ -19,16 +19,16 @@ func lockstep6(t testing.TB, prefixes, perPrefix int, seed int64) (*netsim6.Topo
 }
 
 func runYarrp6(t testing.TB, topo *netsim6.Topology, n *netsim6.Net, clock *simclock.Virtual,
-	mutate func(*Config)) *Result {
+	mutate func(*Config6)) *Result6 {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Targets = topo.Targets()
+	cfg := DefaultConfig6()
+	cfg.Blocks, cfg.Targets = targetList(topo.Targets())
 	cfg.Source = topo.Vantage()
 	cfg.PPS = 50_000
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	sc, err := NewScanner(cfg, n.NewConn(), clock)
+	sc, err := NewScannerOf(IPv6(), cfg, n.NewConn(), clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,26 +55,26 @@ func TestYarrp6LossMonotonicity(t *testing.T) {
 	if netL.Stats.ProbesLost.Load() == 0 || netL.Stats.RepliesLost.Load() == 0 {
 		t.Fatal("loss impairment not exercised")
 	}
-	for _, a := range lossy.Interfaces() {
-		if !clean.HasInterface(a) {
+	for _, a := range sortedInterfaces(lossy) {
+		if !clean.Store.Interfaces().Has(a) {
 			t.Errorf("interface %s discovered only under loss", a)
 		}
 	}
 	for _, dst := range topoL.Targets() {
-		if lossy.HasReached(dst) && !clean.HasReached(dst) {
+		if hasReached(lossy, dst) && !hasReached(clean, dst) {
 			t.Errorf("target %s reached only under loss", dst)
 		}
 	}
-	if lossy.InterfaceCount() >= clean.InterfaceCount() {
+	if lossy.Store.Interfaces().Len() >= clean.Store.Interfaces().Len() {
 		t.Errorf("20%% loss did not shrink discovery: lossy=%d clean=%d",
-			lossy.InterfaceCount(), clean.InterfaceCount())
+			lossy.Store.Interfaces().Len(), clean.Store.Interfaces().Len())
 	}
 	if lossy.FillProbes >= clean.FillProbes {
 		t.Errorf("loss did not shrink the fill chain: lossy=%d clean=%d",
 			lossy.FillProbes, clean.FillProbes)
 	}
 	t.Logf("clean: %d ifaces/%d fill; lossy: %d ifaces/%d fill",
-		clean.InterfaceCount(), clean.FillProbes, lossy.InterfaceCount(), lossy.FillProbes)
+		clean.Store.Interfaces().Len(), clean.FillProbes, lossy.Store.Interfaces().Len(), lossy.FillProbes)
 }
 
 // TestYarrp6DuplicateInvariance: with fill mode off the probe set is
@@ -84,7 +84,7 @@ func TestYarrp6LossMonotonicity(t *testing.T) {
 // duplication inflates the fill chain — the statelessness cost the
 // FlashRoute6 duplicate guard avoids.)
 func TestYarrp6DuplicateInvariance(t *testing.T) {
-	noFill := func(c *Config) { c.FillMode = false }
+	noFill := func(c *Config6) { c.FillMode = false }
 
 	topoC, netC, clockC := lockstep6(t, 256, 8, 5)
 	clean := runYarrp6(t, topoC, netC, clockC, noFill)
@@ -100,7 +100,7 @@ func TestYarrp6DuplicateInvariance(t *testing.T) {
 		t.Errorf("fill-off probe counts differ: clean=%d duped=%d",
 			clean.ProbesSent, duped.ProbesSent)
 	}
-	ci, di := clean.Interfaces(), duped.Interfaces()
+	ci, di := sortedInterfaces(clean), sortedInterfaces(duped)
 	if len(ci) != len(di) {
 		t.Fatalf("interface counts differ: clean=%d duped=%d", len(ci), len(di))
 	}
@@ -109,17 +109,17 @@ func TestYarrp6DuplicateInvariance(t *testing.T) {
 			t.Fatalf("interface sets diverge at %d: %s vs %s", k, ci[k], di[k])
 		}
 	}
-	if clean.ReachedCount() != duped.ReachedCount() {
+	if countReached(clean) != countReached(duped) {
 		t.Fatalf("reached counts differ: clean=%d duped=%d",
-			clean.ReachedCount(), duped.ReachedCount())
+			countReached(clean), countReached(duped))
 	}
 	for _, dst := range topoD.Targets() {
-		if clean.HasReached(dst) != duped.HasReached(dst) {
+		if hasReached(clean, dst) != hasReached(duped, dst) {
 			t.Fatalf("reached sets diverge at %s", dst)
 		}
 	}
 	t.Logf("%d interfaces, %d reached invariant under %d duplicated packets",
-		len(ci), clean.ReachedCount(), netD.Stats.Duplicates.Load())
+		len(ci), countReached(clean), netD.Stats.Duplicates.Load())
 }
 
 // TestYarrp6DuplicationInflatesFill quantifies the comparison property:
@@ -141,12 +141,12 @@ func TestYarrp6DuplicationInflatesFill(t *testing.T) {
 		t.Errorf("duplication did not inflate the fill chain: duped=%d clean=%d",
 			duped.FillProbes, clean.FillProbes)
 	}
-	for _, a := range duped.Interfaces() {
-		if !clean.HasInterface(a) {
+	for _, a := range sortedInterfaces(duped) {
+		if !clean.Store.Interfaces().Has(a) {
 			t.Errorf("interface %s discovered only under duplication", a)
 		}
 	}
 	t.Logf("fill probes: clean=%d duped=%d (+%d) for the same %d interfaces",
 		clean.FillProbes, duped.FillProbes, duped.FillProbes-clean.FillProbes,
-		clean.InterfaceCount())
+		clean.Store.Interfaces().Len())
 }

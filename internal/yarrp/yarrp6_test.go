@@ -1,4 +1,4 @@
-package yarrp6
+package yarrp
 
 import (
 	"testing"
@@ -21,13 +21,18 @@ func sim(t testing.TB, prefixes, perPrefix int, seed int64) (*netsim6.Topology, 
 	return topo, netsim6.New(topo, clock), clock
 }
 
+// targetList adapts a candidate list to the Blocks/Targets pair.
+func targetList(targets []probe6.Addr) (int, func(int) probe6.Addr) {
+	return len(targets), func(i int) probe6.Addr { return targets[i] }
+}
+
 func TestYarrp6ExactBaseProbeCount(t *testing.T) {
 	topo, n, clock := sim(t, 64, 4, 1)
-	cfg := DefaultConfig()
-	cfg.Targets = topo.Targets()
+	cfg := DefaultConfig6()
+	cfg.Blocks, cfg.Targets = targetList(topo.Targets())
 	cfg.Source = topo.Vantage()
 	cfg.PPS = 50_000
-	sc, err := NewScanner(cfg, n.NewConn(), clock)
+	sc, err := NewScannerOf(IPv6(), cfg, n.NewConn(), clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,18 +40,18 @@ func TestYarrp6ExactBaseProbeCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := uint64(len(cfg.Targets)) * 16
+	base := uint64(cfg.Blocks) * 16
 	if res.ProbesSent-res.FillProbes != base {
 		t.Fatalf("base probes=%d want %d", res.ProbesSent-res.FillProbes, base)
 	}
-	if res.InterfaceCount() == 0 || res.ReachedCount() == 0 {
+	if res.Store.Interfaces().Len() == 0 || countReached(res) == 0 {
 		t.Fatal("empty scan")
 	}
 	if res.FillProbes == 0 {
 		t.Fatal("fill mode sent nothing despite deep routes")
 	}
 	t.Logf("yarrp6: %d probes (%d fill), %d ifaces, %d reached",
-		res.ProbesSent, res.FillProbes, res.InterfaceCount(), res.ReachedCount())
+		res.ProbesSent, res.FillProbes, res.Store.Interfaces().Len(), countReached(res))
 }
 
 // TestFlashRoute6BeatsYarrp6 is the IPv6 analogue of Table 3: on the same
@@ -54,11 +59,11 @@ func TestYarrp6ExactBaseProbeCount(t *testing.T) {
 // with substantially fewer probes.
 func TestFlashRoute6BeatsYarrp6(t *testing.T) {
 	topoA, netA, clockA := sim(t, 512, 8, 2)
-	ycfg := DefaultConfig()
-	ycfg.Targets = topoA.Targets()
+	ycfg := DefaultConfig6()
+	ycfg.Blocks, ycfg.Targets = targetList(topoA.Targets())
 	ycfg.Source = topoA.Vantage()
 	ycfg.PPS = 50_000
-	ysc, err := NewScanner(ycfg, netA.NewConn(), clockA)
+	ysc, err := NewScannerOf(IPv6(), ycfg, netA.NewConn(), clockA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,24 +89,24 @@ func TestFlashRoute6BeatsYarrp6(t *testing.T) {
 		t.Fatalf("FlashRoute6 should use <50%% of Yarrp6's probes: %d vs %d",
 			fres.ProbesSent, yres.ProbesSent)
 	}
-	if float64(fres.Store.Interfaces().Len()) < 0.9*float64(yres.InterfaceCount()) {
+	if float64(fres.Store.Interfaces().Len()) < 0.9*float64(yres.Store.Interfaces().Len()) {
 		t.Fatalf("FlashRoute6 lost too many interfaces: %d vs %d",
-			fres.Store.Interfaces().Len(), yres.InterfaceCount())
+			fres.Store.Interfaces().Len(), yres.Store.Interfaces().Len())
 	}
 	t.Logf("yarrp6: %d probes/%d ifaces; flashroute6: %d probes/%d ifaces (%.0f%% of probes)",
-		yres.ProbesSent, yres.InterfaceCount(), fres.ProbesSent, fres.Store.Interfaces().Len(),
+		yres.ProbesSent, yres.Store.Interfaces().Len(), fres.ProbesSent, fres.Store.Interfaces().Len(),
 		100*float64(fres.ProbesSent)/float64(yres.ProbesSent))
 }
 
 func TestYarrp6Validation(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
-	if _, err := NewScanner(Config{}, nil, clock); err == nil {
+	if _, err := NewScannerOf(IPv6(), Config6{}, nil, clock); err == nil {
 		t.Fatal("empty targets accepted")
 	}
-	cfg := DefaultConfig()
-	cfg.Targets = make([]probe6.Addr, 1)
+	cfg := DefaultConfig6()
+	cfg.Blocks, cfg.Targets = targetList(make([]probe6.Addr, 1))
 	cfg.FillMax = 8
-	if _, err := NewScanner(cfg, nil, clock); err == nil {
+	if _, err := NewScannerOf(IPv6(), cfg, nil, clock); err == nil {
 		t.Fatal("bad FillMax accepted")
 	}
 }

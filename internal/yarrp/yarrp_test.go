@@ -1,19 +1,22 @@
 package yarrp
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/flashroute/flashroute/internal/netsim"
 	"github.com/flashroute/flashroute/internal/probe"
+	"github.com/flashroute/flashroute/internal/probe6"
 	"github.com/flashroute/flashroute/internal/simclock"
 	"github.com/flashroute/flashroute/internal/trace"
 )
 
 // countReached tallies destinations that answered the scan.
-func countReached(r *Result) int {
+func countReached[A comparable](r *ResultOf[A]) int {
 	n := 0
-	r.Store.ForEachRoute(func(rt *trace.Route) {
+	r.Store.ForEachRoute(func(rt *trace.RouteOf[A]) {
 		if rt.Reached {
 			n++
 		}
@@ -21,11 +24,26 @@ func countReached(r *Result) int {
 	return n
 }
 
+// hasReached reports whether dst answered the scan.
+func hasReached[A comparable](r *ResultOf[A], dst A) bool {
+	rt := r.Store.Route(dst)
+	return rt != nil && rt.Reached
+}
+
+// sortedInterfaces lists the discovered IPv6 interfaces in ascending
+// address order.
+func sortedInterfaces(r *Result6) []probe6.Addr {
+	return slices.SortedFunc(r.Store.Interfaces().All(), func(a, b probe6.Addr) int {
+		return bytes.Compare(a[:], b[:])
+	})
+}
+
 type env struct {
-	topo  *netsim.Topology
-	clock *simclock.Virtual
-	net   *netsim.Net
-	cfg   Config
+	topo      *netsim.Topology
+	clock     *simclock.Virtual
+	net       *netsim.Net
+	cfg       Config
+	probeType ProbeType
 }
 
 func newEnv(t testing.TB, blocks int, seed int64) *env {
@@ -44,13 +62,12 @@ func newEnv(t testing.TB, blocks int, seed int64) *env {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		return u.BlockAddr(block) | uint32(1+z%254)
 	}
-	cfg.BlockOf = func(addr uint32) (int, bool) { return u.BlockIndex(addr) }
 	return &env{topo: topo, clock: clock, net: n, cfg: cfg}
 }
 
 func (e *env) run(t testing.TB) (*Result, error) {
 	t.Helper()
-	sc, err := NewScanner(e.cfg, e.net.NewConn(), e.clock)
+	sc, err := NewScannerOf(IPv4(e.probeType), e.cfg, e.net.NewConn(), e.clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +135,9 @@ func TestYarrp16FillModeFindsFewerInterfaces(t *testing.T) {
 func TestYarrpUDPFailsOnLongScans(t *testing.T) {
 	const blocks = 8192
 	e := newEnv(t, blocks, 3)
-	e.cfg.ProbeType = UDP
+	e.probeType = UDP
 	e.cfg.PPS = 100 // slow scan -> large elapsed encoding -> overflow
-	sc, err := NewScanner(e.cfg, e.net.NewConn(), e.clock)
+	sc, err := NewScannerOf(IPv4(e.probeType), e.cfg, e.net.NewConn(), e.clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +159,7 @@ func TestYarrpUDPShortScanFindsMore(t *testing.T) {
 		t.Fatal(err)
 	}
 	udp := newEnv(t, blocks, 4)
-	udp.cfg.ProbeType = UDP
+	udp.probeType = UDP
 	resUDP, err := udp.run(t)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +216,6 @@ func TestYarrpConfigValidation(t *testing.T) {
 			c := DefaultConfig()
 			c.Blocks = 10
 			c.Targets = func(int) uint32 { return 1 }
-			c.BlockOf = func(uint32) (int, bool) { return 0, true }
 			c.MinTTL = 20
 			c.MaxTTL = 10
 			return c
@@ -208,7 +224,6 @@ func TestYarrpConfigValidation(t *testing.T) {
 			c := DefaultConfig()
 			c.Blocks = 10
 			c.Targets = func(int) uint32 { return 1 }
-			c.BlockOf = func(uint32) (int, bool) { return 0, true }
 			c.MaxTTL = 16
 			c.FillMode = true
 			c.FillMax = 8
@@ -216,7 +231,7 @@ func TestYarrpConfigValidation(t *testing.T) {
 		}(),
 	}
 	for i, cfg := range bad {
-		if _, err := NewScanner(cfg, nil, clock); err == nil {
+		if _, err := NewScannerOf(IPv4(TCPAck), cfg, nil, clock); err == nil {
 			t.Fatalf("config %d should be rejected", i)
 		}
 	}
